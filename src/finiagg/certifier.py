@@ -27,10 +27,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._parallel import ordered_map
-from .ensemble import VoteMatrix, aggregate_prediction
+from .ensemble import VoteMatrix
 from .errors import EnumerationTooLarge, LengthMismatch, MissingLabels, EmptyTestSet, DataError
 from .hashing import SpreadOffsets, spread
+from .learners import argmax
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def margin_table(row: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> 
         for i in spread(j, offsets):
             per_part[row[i]][j] += 1
     return MarginTable(
-        aggregate_prediction(row, n_classes),
+        argmax(counts),
         kd,
         d,
         n_classes,
@@ -117,22 +117,12 @@ def dpa_radius(row: Sequence[int], n_classes: int, label: int | None = None) -> 
     """Certified radius of a plain disjoint-partition ensemble of k classifiers.
 
     Each poison changes at most one vote, shifting the margin to any
-    challenger by at most 2, hence ``floor(rhs / 2)`` per challenger.
+    challenger by at most 2, hence ``floor(rhs / 2)`` per challenger: the
+    2d-cap baseline of the row read as a d=1 ensemble (offsets ``{0}``).
     Returns -1 when a label is supplied and the prediction misses it.
     """
-    counts = [0] * n_classes
-    for v in row:
-        counts[v] += 1
-    c = aggregate_prediction(row, n_classes)
-    if label is not None and c != label:
-        return -1
-    radius = len(row)
-    for cp in range(n_classes):
-        if cp == c:
-            continue
-        rhs = counts[c] - counts[cp] - (1 if cp < c else 0)
-        radius = min(radius, max(0, rhs // 2))
-    return radius
+    table = margin_table(row, SpreadOffsets((0,), len(row)), n_classes)
+    return dpa_baseline_radius(table, label)
 
 
 def fa_radius(table: MarginTable, label: int | None = None) -> int:
@@ -214,29 +204,37 @@ class CertificateReport:
     stats: RadiusStats
 
 
-def margin_tables(matrix: VoteMatrix, workers: int = 1) -> list[MarginTable]:
+def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
     n_classes = matrix.config.n_classes
-    return ordered_map(
-        lambda row: margin_table(row, matrix.offsets, n_classes), matrix.votes, workers
-    )
+    return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
-def certify_matrix(matrix: VoteMatrix, workers: int = 1) -> list[SampleCertificate]:
-    """Per-sample certificates for every row of a vote matrix."""
+def certify_matrix(
+    matrix: VoteMatrix, workers: int = 1, tables: Iterable[MarginTable] | None = None
+) -> list[SampleCertificate]:
+    """Per-sample certificates for every row of a vote matrix.
+
+    ``tables`` are the rows' margin tables when the caller already holds
+    them. Otherwise each row is tabulated, certified and dropped in turn,
+    so one table is alive at a time. ``workers`` is accepted and ignored:
+    certification runs in the calling thread.
+    """
+    if tables is None:
+        n_classes = matrix.config.n_classes
+        tables = (margin_table(row, matrix.offsets, n_classes) for row in matrix.votes)
     labels = matrix.labels
-
-    def one(indexed: tuple[int, tuple[int, ...]]) -> SampleCertificate:
-        t, row = indexed
-        table = margin_table(row, matrix.offsets, matrix.config.n_classes)
+    certs = []
+    for t, table in enumerate(tables):
         label = labels[t] if labels is not None else None
-        return SampleCertificate(
-            predicted=table.prediction,
-            correct=(table.prediction == label) if label is not None else None,
-            dpa_radius=dpa_baseline_radius(table, label),
-            fa_radius=fa_radius(table, label),
+        certs.append(
+            SampleCertificate(
+                predicted=table.prediction,
+                correct=(table.prediction == label) if label is not None else None,
+                dpa_radius=dpa_baseline_radius(table, label),
+                fa_radius=fa_radius(table, label),
+            )
         )
-
-    return ordered_map(one, list(enumerate(matrix.votes)), workers)
+    return certs
 
 
 def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tuple[Fraction, ...]:
@@ -244,6 +242,8 @@ def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tupl
     n = len(radii)
     if n == 0:
         raise EmptyTestSet()
+    if max_attack_size < 0:
+        raise DataError(f"attack size must be non-negative, got {max_attack_size}")
     return tuple(
         Fraction(sum(1 for r in radii if r >= m), n) for m in range(max_attack_size + 1)
     )
@@ -265,8 +265,14 @@ def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusSta
     return RadiusStats(Fraction(len(gains), n), mean_gain)
 
 
-def build_report(matrix: VoteMatrix, max_attack_size: int, workers: int = 1) -> CertificateReport:
-    certs = certify_matrix(matrix, workers)
+def build_report(
+    matrix: VoteMatrix, max_attack_size: int, tables: Sequence[MarginTable] | None = None
+) -> CertificateReport:
+    """Certificates, curve up to ``max_attack_size`` and radius statistics.
+
+    ``tables``, when given, are the matrix's margin tables; see ``certify_matrix``.
+    """
+    certs = certify_matrix(matrix, tables=tables)
     curve = certified_fraction_curve([c.fa_radius for c in certs], max_attack_size)
     stats = radius_stats([c.fa_radius for c in certs], [c.dpa_radius for c in certs])
     return CertificateReport(tuple(certs), curve, stats)
@@ -277,7 +283,6 @@ def certified_accuracy(
     labels: Sequence[int],
     budget: int,
     enumeration_cap: int = 10**6,
-    workers: int = 1,
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Worst-case test accuracy over all attacks sharing one poison set.
 
@@ -306,7 +311,5 @@ def certified_accuracy(
             if conditional_certified(table, q, budget, label)
         )
 
-    qs = list(combinations(range(kd), q_size))
-    hits = ordered_map(score, qs, workers)
-    best_hits, best_q = min(zip(hits, qs), key=lambda pair: (pair[0], pair[1]))
+    best_hits, best_q = min((score(q), q) for q in combinations(range(kd), q_size))
     return Fraction(best_hits, n), best_q

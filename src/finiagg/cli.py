@@ -2,15 +2,17 @@
 
 Formats
 -------
-Dataset CSV: header ``label,f0,...,f{n-1}``, integer cells, UTF-8, LF line
-endings. Test CSVs may drop the label column (header ``f0,...``).
+Dataset CSV: header ``label,f0,...,f{n-1}``, integer cells (ASCII digits,
+optional sign), UTF-8, LF line endings. Test CSVs may drop the label column
+(header ``f0,...``).
 
 Vote-matrix JSON::
 
     {"k": int, "d": int, "offsets": [int], "n_classes": int,
      "labels": [int]?, "votes": [[int; kd]]}
 
-Offsets are embedded so certification never re-derives them from a seed.
+Offsets are embedded so certification never re-derives them from a seed;
+there must be exactly ``d`` of them, and every number must be a JSON integer.
 
 All fractions in JSON reports appear both as exact ``"num/den"`` strings
 and as advisory floats. Exit codes: 0 success, 1 usage, 2 data error,
@@ -23,25 +25,17 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ._parallel import env_workers
-from .certifier import (
-    build_report,
-    certified_accuracy,
-    certified_fraction_curve,
-    certify_matrix,
-    margin_tables,
-    radius_stats,
-)
+from .certifier import MarginTable, build_report, certified_accuracy, margin_tables
 from .datamodel import AggregationConfig, Dataset, validate_dataset
 from .ensemble import VoteMatrix, collect_votes, ensemble_stats, train_ensemble
 from .errors import (
     DataError,
-    EmptyTestSet,
     FiniteAggError,
     MissingLabels,
     SoundnessViolation,
@@ -65,6 +59,9 @@ _LEARNER_ALIASES = {
     "external": EXTERNAL_VOTES,
     EXTERNAL_VOTES: EXTERNAL_VOTES,
 }
+
+
+_INT_CELL = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,10 +124,10 @@ def _read_csv(path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
     for idx, cells in enumerate(reader):
         if not cells:
             continue
-        try:
-            rows.append(tuple(int(c) for c in cells))
-        except ValueError:
-            raise DataError(f"{path}: row {idx} has a non-integer cell") from None
+        # int() would also accept " 3", "1_0" and non-ASCII digits
+        if not all(map(_INT_CELL.fullmatch, cells)):
+            raise DataError(f"{path}: row {idx} has a non-integer cell")
+        rows.append(tuple(map(int, cells)))
     return rows, len(feature_names), labeled
 
 
@@ -154,18 +151,27 @@ def votes_to_json(matrix: VoteMatrix) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _json_int(value, field: str) -> int:
+    # exact type: true is an int subclass, and int() would truncate 1.7 or parse "3"
+    if type(value) is not int:
+        raise DataError(f"vote-matrix JSON field {field!r}: {value!r} is not an integer")
+    return value
+
+
 def votes_from_json(text: str) -> VoteMatrix:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
     try:
-        k, d = int(obj["k"]), int(obj["d"])
-        offsets = SpreadOffsets(tuple(int(r) for r in obj["offsets"]), k * d)
-        n_classes = int(obj["n_classes"])
-        votes = tuple(tuple(int(v) for v in row) for row in obj["votes"])
+        k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
+        offsets = SpreadOffsets(tuple(_json_int(r, "offsets") for r in obj["offsets"]), k * d)
+        n_classes = _json_int(obj["n_classes"], "n_classes")
+        votes = tuple(tuple(_json_int(v, "votes") for v in row) for row in obj["votes"])
         raw_labels = obj.get("labels")
-        labels = tuple(int(v) for v in raw_labels) if raw_labels is not None else None
+        labels = (
+            tuple(_json_int(v, "labels") for v in raw_labels) if raw_labels is not None else None
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"vote-matrix JSON missing or malformed field: {exc}") from exc
     config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
@@ -186,8 +192,11 @@ def _frac(fr: Fraction) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -226,9 +235,8 @@ def _matrix_from_args(args) -> VoteMatrix:
                 raise DataError(f"{args.test}: row {idx}: label {lab} outside [0, {n_classes})")
     config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
     offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
-    workers = env_workers()
-    models = train_ensemble(dataset, config, LearnerSpec(kind), offsets, workers)
-    matrix = collect_votes(models, features, config, offsets, labels, workers)
+    models = train_ensemble(dataset, config, LearnerSpec(kind), offsets)
+    matrix = collect_votes(models, features, config, offsets, labels)
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix
@@ -239,10 +247,6 @@ def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:
         if want_stats:
             raise MissingLabels("--stats")
         return None
-    if matrix.n_test == 0:
-        if want_stats:
-            raise EmptyTestSet()
-        return None
     stats = ensemble_stats(matrix)
     return {
         "clean_accuracy": _frac(stats.clean_accuracy),
@@ -250,9 +254,9 @@ def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:
     }
 
 
-def _delta_block(matrix: VoteMatrix) -> list[dict]:
+def _delta_block(tables: Sequence[MarginTable]) -> list[dict]:
     out = []
-    for table in margin_tables(matrix):
+    for table in tables:
         challengers = []
         for cp in range(table.n_classes):
             if cp == table.prediction:
@@ -274,11 +278,10 @@ def _delta_block(matrix: VoteMatrix) -> list[dict]:
 
 def cmd_certify(args) -> int:
     matrix = _matrix_from_args(args)
-    workers = env_workers()
     max_attack = args.max_attack_size if args.max_attack_size is not None else matrix.config.kd
-    if matrix.n_test == 0:
-        raise EmptyTestSet()
-    report = build_report(matrix, max_attack, workers)
+    # without --verbose each row's table is dropped once certified
+    tables = margin_tables(matrix) if args.verbose else None
+    report = build_report(matrix, max_attack, tables)
     obj: dict = {
         "command": "certify",
         "k": matrix.config.k,
@@ -308,8 +311,8 @@ def cmd_certify(args) -> int:
         {"attack_size": m, "certified_fraction": _frac(f)}
         for m, f in enumerate(report.curve)
     ]
-    if args.verbose:
-        obj["delta_multisets"] = _delta_block(matrix)
+    if tables is not None:
+        obj["delta_multisets"] = _delta_block(tables)
     _write_json(args.out, obj)
     if args.curve:
         _write_text(args.curve, curve_csv(report.curve))
@@ -318,19 +321,14 @@ def cmd_certify(args) -> int:
 
 def cmd_curve(args) -> int:
     matrix = _matrix_from_args(args)
-    if matrix.n_test == 0:
-        raise EmptyTestSet()
-    certs = certify_matrix(matrix, env_workers())
     max_attack = args.max_attack_size if args.max_attack_size is not None else matrix.config.kd
-    curve = certified_fraction_curve([c.fa_radius for c in certs], max_attack)
-    _write_text(args.out, curve_csv(curve))
+    _write_text(args.out, curve_csv(build_report(matrix, max_attack).curve))
     return 0
 
 
 def cmd_compare(args) -> int:
     matrix = _matrix_from_args(args)
-    certs = certify_matrix(matrix, env_workers())
-    stats = radius_stats([c.fa_radius for c in certs], [c.dpa_radius for c in certs])
+    stats = build_report(matrix, 0).stats
     _write_json(
         args.out,
         {
@@ -347,13 +345,9 @@ def cmd_cert_acc(args) -> int:
     matrix = _matrix_from_args(args)
     if matrix.labels is None:
         raise MissingLabels("certified accuracy")
-    workers = env_workers()
-    tables = margin_tables(matrix, workers)
-    accuracy, argmin_q = certified_accuracy(
-        tables, matrix.labels, args.budget, args.enumeration_cap, workers
-    )
-    certs = certify_matrix(matrix, workers)
-    fraction = certified_fraction_curve([c.fa_radius for c in certs], args.budget)[args.budget]
+    tables = margin_tables(matrix)
+    accuracy, argmin_q = certified_accuracy(tables, matrix.labels, args.budget, args.enumeration_cap)
+    fraction = build_report(matrix, args.budget, tables).curve[args.budget]
     _write_json(
         args.out,
         {
@@ -375,7 +369,6 @@ def cmd_oracle_check(args) -> int:
         matrix.config.n_classes,
         matrix.labels,
         args.oracle_limit,
-        env_workers(),
     )
     obj = {
         "command": "oracle-check",

@@ -1,8 +1,7 @@
 """Core domain types: labeled samples, datasets, and ensemble configuration.
 
 Training data is a multiset of integer feature vectors with class labels.
-All types are immutable and hashable, so they can be shared freely across
-worker threads.
+All types are immutable and hashable.
 """
 
 from __future__ import annotations

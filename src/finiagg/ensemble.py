@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._parallel import ordered_map
 from .datamodel import AggregationConfig, Dataset
 from .errors import DataError, DimensionMismatch, EmptyTestSet, MissingLabels
 from .hashing import SpreadOffsets, build_partitions, build_subsets, generate_offsets
-from .learners import LearnerSpec, TrainedModel, train
+from .learners import LearnerSpec, TrainedModel, argmax, train
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,8 @@ class VoteMatrix:
         kd = self.config.kd
         if self.offsets.kd != kd:
             raise DataError(f"offsets kd={self.offsets.kd} does not match config kd={kd}")
+        if self.offsets.d != self.config.d:
+            raise DataError(f"{self.offsets.d} offsets for spread degree d={self.config.d}")
         for t, row in enumerate(self.votes):
             if len(row) != kd:
                 raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
@@ -66,17 +67,14 @@ def train_ensemble(
     offsets: SpreadOffsets | None = None,
     workers: int = 1,
 ) -> list[TrainedModel]:
-    """Train the ``kd`` base models, one per training subset.
+    """Train the ``kd`` base models; model ``i`` is trained on subset ``S_i``.
 
-    Model ``i`` is always the one trained on subset ``S_i`` no matter how the
-    work is scheduled.
+    ``workers`` is accepted and ignored: training runs in the calling thread.
     """
     if offsets is None:
         offsets = generate_offsets(config.k, config.d, config.seed)
     layout = build_subsets(build_partitions(dataset, config), offsets)
-    return ordered_map(
-        lambda subset: train(spec, subset, config.n_classes), layout.subsets, workers
-    )
+    return [train(spec, subset, config.n_classes) for subset in layout.subsets]
 
 
 def collect_votes(
@@ -87,15 +85,14 @@ def collect_votes(
     labels: Sequence[int] | None = None,
     workers: int = 1,
 ) -> VoteMatrix:
-    """Evaluate every model on every test input."""
+    """Evaluate every model on every test input.
+
+    ``workers`` is accepted and ignored: voting runs in the calling thread.
+    """
     if len(models) != config.kd:
         raise DimensionMismatch(f"{len(models)} models for kd={config.kd}")
-    rows = ordered_map(
-        lambda x: tuple(m.predict(x) for m in models), test_inputs, workers
-    )
-    return VoteMatrix(
-        tuple(rows), config, offsets, tuple(labels) if labels is not None else None
-    )
+    rows = tuple(tuple(m.predict(x) for m in models) for x in test_inputs)
+    return VoteMatrix(rows, config, offsets, tuple(labels) if labels is not None else None)
 
 
 def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
@@ -103,11 +100,7 @@ def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
     counts = [0] * n_classes
     for v in row:
         counts[v] += 1
-    best = 0
-    for c in range(1, n_classes):
-        if counts[c] > counts[best]:
-            best = c
-    return best
+    return argmax(counts)
 
 
 def ensemble_stats(matrix: VoteMatrix) -> EnsembleStats:

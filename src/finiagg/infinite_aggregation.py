@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .datamodel import Dataset, LabeledSample, canonical_sort
 from .errors import InstanceTooLarge
-from .learners import LearnerSpec, predict, train
+from .learners import LearnerSpec, argmax, predict, train
 
 DEFAULT_LIMIT = 16
 
@@ -37,14 +37,6 @@ class IAVoteDistribution:
     k: int
     n_samples: int
     prediction: int
-
-
-def _argmax_smaller_index(scores: Sequence[Fraction]) -> int:
-    best = 0
-    for c in range(1, len(scores)):
-        if scores[c] > scores[best]:
-            best = c
-    return best
 
 
 def ia_votes(
@@ -87,7 +79,7 @@ def ia_votes(
         conditional=tuple(tuple(row) for row in conditional),
         k=k,
         n_samples=n,
-        prediction=_argmax_smaller_index(per_class),
+        prediction=argmax(per_class),
     )
 
 

@@ -40,19 +40,22 @@ class LearnerSpec:
             raise UnknownLearnerKind(self.kind)
 
 
+def argmax(scores: Sequence) -> int:
+    """Index of the largest score; ties go to the smaller index."""
+    best = 0
+    for c in range(1, len(scores)):
+        if scores[c] > scores[best]:
+            best = c
+    return best
+
+
 @dataclass(frozen=True)
 class MajorityLabelModel:
     n_classes: int
     label_counts: tuple[int, ...]
 
     def predict(self, features: Sequence[int]) -> int:
-        if not any(self.label_counts):
-            return 0
-        best = 0
-        for c in range(1, self.n_classes):
-            if self.label_counts[c] > self.label_counts[best]:
-                best = c
-        return best
+        return argmax(self.label_counts)
 
 
 @dataclass(frozen=True)

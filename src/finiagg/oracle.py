@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._parallel import ordered_map
 from .certifier import dpa_radius, fa_radius, margin_table
 from .ensemble import aggregate_prediction
 from .errors import InstanceTooLarge
@@ -167,24 +166,25 @@ def verify_certificates(
     Soundness requires the certified radius never to exceed the exact one;
     with d=1 the fine-grained certificate must also equal the plain
     disjoint-partition radius on the same votes. The per-row gap records
-    certificate slack (0 means tight).
+    certificate slack (0 means tight). ``workers`` is accepted and ignored:
+    verification runs in the calling thread.
     """
-
-    def one(indexed: tuple[int, Sequence[int]]) -> RowVerification:
-        t, row = indexed
+    verified = []
+    for t, row in enumerate(rows):
         label = labels[t] if labels is not None else None
         table = margin_table(row, offsets, n_classes)
         fa = fa_radius(table, label)
         exact = exact_poison_radius(row, offsets, n_classes, label, limit)
         dpa = dpa_radius(row, n_classes, label) if offsets.d == 1 else None
-        return RowVerification(
-            index=t,
-            fa_radius=fa,
-            dpa_radius=dpa,
-            exact_radius=exact,
-            gap=exact - fa,
-            sound=fa <= exact,
-            dpa_equivalent=(dpa == fa) if dpa is not None else None,
+        verified.append(
+            RowVerification(
+                index=t,
+                fa_radius=fa,
+                dpa_radius=dpa,
+                exact_radius=exact,
+                gap=exact - fa,
+                sound=fa <= exact,
+                dpa_equivalent=(dpa == fa) if dpa is not None else None,
+            )
         )
-
-    return VerificationReport(tuple(ordered_map(one, list(enumerate(rows)), workers)))
+    return VerificationReport(tuple(verified))

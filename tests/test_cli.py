@@ -36,6 +36,8 @@ UNLABELED_CSV = """f0,f1
 8,8
 """
 
+VOTES = {"k": 2, "d": 1, "offsets": [1], "n_classes": 2, "labels": [1], "votes": [[1, 1]]}
+
 
 @pytest.fixture
 def train_file(tmp_path):
@@ -145,6 +147,11 @@ def test_data_errors_exit_two(tmp_path, test_file, capsys):
     code = _run("certify", "--dataset", bad, "--test", test_file, "--out", tmp_path / "r.json")
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "NegativeFeature"
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps(VOTES), encoding="utf-8")
+    for command in ("certify", "curve"):
+        assert _run(command, "--votes", votes, "--max-attack-size", -1) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
 
 def test_compare_on_d1_run_shows_no_improvement(tmp_path, train_file, test_file):
@@ -282,3 +289,80 @@ def test_verbose_report_includes_delta_multisets(tmp_path, train_file, test_file
     assert len(obj["delta_multisets"]) == obj["n_test"]
     entry = obj["delta_multisets"][0]["delta"][0]
     assert entry["elements"] == sorted(entry["elements"], reverse=True)
+
+
+def test_vote_file_offsets_must_match_d(tmp_path, capsys):
+    votes = tmp_path / "votes.json"
+    for offsets in ([0, 1, 2], [0]):
+        obj = {**VOTES, "k": 2, "d": 2, "offsets": offsets, "votes": [[1, 1, 1, 1]]}
+        votes.write_text(json.dumps(obj), encoding="utf-8")
+        assert _run("certify", "--votes", votes) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("k", "d", "offsets", "n_classes", "votes", "labels") for v in (True, 1.7, "3")]
+    + [("csv", "1_0"), ("csv", " 3"), ("csv", "\uff13")],
+)
+def test_no_silent_integer_coercion(tmp_path, train_file, field, value, capsys):
+    if field == "csv":
+        test = tmp_path / "coerced.csv"
+        test.write_text(TEST_CSV.replace("8,8", f"8,{value}"), encoding="utf-8")
+        argv = ["--dataset", train_file, "--test", test]
+    else:
+        obj = dict(VOTES)
+        if field in ("offsets", "labels"):
+            obj[field] = [value]
+        elif field == "votes":
+            obj[field] = [[1, value]]
+        else:
+            obj[field] = value
+        votes = tmp_path / "votes.json"
+        votes.write_text(json.dumps(obj), encoding="utf-8")
+        argv = ["--votes", votes]
+    assert _run("certify", *argv, "--out", tmp_path / "r.json") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError"
+    assert ("non-integer cell" if field == "csv" else f"'{field}'") in err["message"]
+
+
+def test_unwritable_output_is_a_data_error(tmp_path, train_file, test_file, capsys):
+    missing = tmp_path / "no" / "such" / "dir.json"
+    argvs = [
+        ["--out", tmp_path],
+        ["--out", tmp_path / "r.json", "--curve", tmp_path],
+        ["--out", tmp_path / "r.json", "--save-votes", missing],
+    ]
+    for extra in argvs:
+        code = _run("certify", "--dataset", train_file, "--test", test_file, "--k", 3, *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DataError"
+
+
+def test_compare_rejects_an_empty_test_set(tmp_path, capsys):
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({**VOTES, "labels": [], "votes": []}), encoding="utf-8")
+    assert _run("compare", "--votes", votes) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyTestSet"
+
+
+@pytest.mark.parametrize("command", [["cert-acc", "--budget", "1"], ["certify", "--verbose"]])
+def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, monkeypatch):
+    from finiagg import certifier
+
+    calls = []
+    original = certifier.margin_table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "margin_table", counting)
+    assert _run(
+        *command, "--dataset", train_file, "--test", test_file,
+        "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
+    ) == 0
+    assert len(calls) == len(TEST_CSV.splitlines()) - 1
