@@ -17,6 +17,12 @@ inequalities: this is the fractional certificate multiplied through by
 
 The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
+
+``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius`` is the
+readable reference. ``certify_matrix`` certifies rows without tables through
+an array kernel that gives the same certificates: every ``e_j`` is an
+integer in ``[0, 2d]``, so the top-m sums follow from a ``2d + 1``-bin
+histogram of the losses instead of a sort.
 """
 
 from __future__ import annotations
@@ -28,7 +34,14 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .ensemble import VoteMatrix
-from .errors import EnumerationTooLarge, LengthMismatch, MissingLabels, EmptyTestSet, DataError
+from .errors import (
+    DataError,
+    EmptyTestSet,
+    EnumerationTooLarge,
+    LengthMismatch,
+    LimitError,
+    MissingLabels,
+)
 from .hashing import SpreadOffsets, spread
 from .learners import argmax
 
@@ -215,13 +228,12 @@ def certify_matrix(
     """Per-sample certificates for every row of a vote matrix.
 
     ``tables`` are the rows' margin tables when the caller already holds
-    them. Otherwise each row is tabulated, certified and dropped in turn,
-    so one table is alive at a time. ``workers`` is accepted and ignored:
-    certification runs in the calling thread.
+    them, and the certificates come from the reference rules. Otherwise the
+    rows go through the array kernel, one row at a time. ``workers`` is
+    accepted and ignored: certification runs in the calling thread.
     """
     if tables is None:
-        n_classes = matrix.config.n_classes
-        tables = (margin_table(row, matrix.offsets, n_classes) for row in matrix.votes)
+        return _certify_rows(matrix)
     labels = matrix.labels
     certs = []
     for t, table in enumerate(tables):
@@ -237,6 +249,94 @@ def certify_matrix(
     return certs
 
 
+def _int_dtype(bound: int, what: str):
+    """Smallest signed NumPy integer type that holds every value in ``[0, bound]``."""
+    import numpy as np
+
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise LimitError(f"{what} up to {bound} do not fit in a 64-bit integer")
+
+
+def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
+    """Largest m whose m largest losses sum to at most ``rhs``; ``hist[e]`` counts loss e.
+
+    Walks the bins from the largest loss down, as ``_scan_radius`` walks the
+    sorted losses; ``rhs >= 0`` because the prediction is the arg-max.
+    """
+    m = 0
+    for loss in range(len(hist) - 1, 0, -1):
+        take = min(hist[loss], rhs // loss)
+        m += take
+        if take < hist[loss]:
+            return m
+        rhs -= take * loss
+    return m + hist[0]  # zero losses never exhaust the margin
+
+
+def _certify_rows(matrix: VoteMatrix) -> list[SampleCertificate]:
+    """``certify_matrix`` without margin tables: exact integer NumPy, row by row.
+
+    Per row: global counts by ``bincount``, the prediction by ``argmax``
+    (first maximum, so ties go to the smaller index), the per-partition
+    counts of a class by one shifted add of its one-hot per offset, and per
+    challenger a histogram of the losses ``e = d + a[c] - a[q]``. Classes
+    without votes share ``a[q] = 0``; the smallest of them has the smallest
+    margin and stands for them all. Each dtype is sized from the bound its
+    values obey, so no valid input wraps around.
+    """
+    import numpy as np  # imported here: commands that never certify without tables skip its cost
+
+    kd, d, n_classes = matrix.config.kd, matrix.config.d, matrix.config.n_classes
+    vote_dtype = _int_dtype(n_classes - 1, "class indices")
+    count_dtype = _int_dtype(d, "per-partition vote counts")
+    loss_dtype = _int_dtype(2 * d, "margin losses")
+    # bincount counts up to kd in intp, which holds the length of any row in memory
+    offsets = matrix.offsets.offsets
+    labels = matrix.labels
+
+    def partition_counts(onehot):
+        # a[j] = sum over r of onehot[(j + r) mod kd]
+        twice = np.concatenate((onehot, onehot))
+        a = np.zeros(kd, count_dtype)
+        for r in offsets:
+            a += twice[r : r + kd]
+        return a
+
+    certs = []
+    for t, votes in enumerate(matrix.votes):
+        row = np.array(votes, dtype=vote_dtype)
+        counts = np.bincount(row)
+        c = int(counts.argmax())
+        label = labels[t] if labels is not None else None
+        if label is not None and c != label:
+            certs.append(SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1))
+            continue
+        counts = counts.tolist()
+        top = partition_counts(row == c).astype(loss_dtype) + d  # d + a[c]
+        challengers = [(q, n) for q, n in enumerate(counts) if n and q != c]
+        absent = next((q for q, n in enumerate(counts) if n == 0), len(counts))
+        if absent < n_classes:
+            challengers.append((absent, 0))
+        fine = base = kd
+        for q, n_q in challengers:
+            losses = top - partition_counts(row == q) if n_q else top
+            rhs = counts[c] - n_q - (q < c)
+            hist = np.bincount(losses, minlength=2 * d + 1).tolist()
+            fine = min(fine, _histogram_radius(hist, rhs))
+            base = min(base, rhs // (2 * d))
+        certs.append(
+            SampleCertificate(
+                predicted=c,
+                correct=None if label is None else True,
+                dpa_radius=base,
+                fa_radius=fine,
+            )
+        )
+    return certs
+
+
 def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tuple[Fraction, ...]:
     """``curve[m]`` = fraction of samples whose radius is at least m."""
     n = len(radii)
@@ -244,9 +344,13 @@ def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tupl
         raise EmptyTestSet()
     if max_attack_size < 0:
         raise DataError(f"attack size must be non-negative, got {max_attack_size}")
-    return tuple(
-        Fraction(sum(1 for r in radii if r >= m), n) for m in range(max_attack_size + 1)
-    )
+    at_least = [0] * (max_attack_size + 1)
+    for r in radii:
+        if r >= 0:
+            at_least[min(r, max_attack_size)] += 1
+    for m in range(max_attack_size - 1, -1, -1):
+        at_least[m] += at_least[m + 1]
+    return tuple(Fraction(hits, n) for hits in at_least)
 
 
 def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusStats:

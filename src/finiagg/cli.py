@@ -139,16 +139,18 @@ def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
 
 
 def votes_to_json(matrix: VoteMatrix) -> str:
-    obj: dict = {
+    """The vote-matrix JSON, one field per line and one vote row per line."""
+    fields: dict = {
         "k": matrix.config.k,
         "d": matrix.config.d,
         "offsets": list(matrix.offsets.offsets),
         "n_classes": matrix.config.n_classes,
     }
     if matrix.labels is not None:
-        obj["labels"] = list(matrix.labels)
-    obj["votes"] = [list(row) for row in matrix.votes]
-    return json.dumps(obj, indent=2) + "\n"
+        fields["labels"] = list(matrix.labels)
+    head = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in fields.items())
+    rows = ",\n".join(f"    {json.dumps(row)}" for row in matrix.votes)
+    return "{\n" + head + '  "votes": [\n' + rows + "\n  ]\n}\n"
 
 
 def _json_int(value, field: str) -> int:
@@ -158,6 +160,14 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_ints(values, field: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for v in values:  # only on failure: name the first offending value
+            _json_int(v, field)
+    return values
+
+
 def votes_from_json(text: str) -> VoteMatrix:
     try:
         obj = json.loads(text)
@@ -165,13 +175,11 @@ def votes_from_json(text: str) -> VoteMatrix:
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
     try:
         k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
-        offsets = SpreadOffsets(tuple(_json_int(r, "offsets") for r in obj["offsets"]), k * d)
+        offsets = SpreadOffsets(_json_ints(obj["offsets"], "offsets"), k * d)
         n_classes = _json_int(obj["n_classes"], "n_classes")
-        votes = tuple(tuple(_json_int(v, "votes") for v in row) for row in obj["votes"])
+        votes = tuple(_json_ints(row, "votes") for row in obj["votes"])
         raw_labels = obj.get("labels")
-        labels = (
-            tuple(_json_int(v, "labels") for v in raw_labels) if raw_labels is not None else None
-        )
+        labels = _json_ints(raw_labels, "labels") if raw_labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"vote-matrix JSON missing or malformed field: {exc}") from exc
     config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
@@ -189,18 +197,29 @@ def _frac(fr: Fraction) -> dict:
     return {"exact": f"{fr.numerator}/{fr.denominator}", "float": float(fr)}
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, write) -> None:
+    """Call ``write(stream)`` on stdout, or on ``path`` turning an OSError into a DataError."""
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            write(out)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_text(path: str | None, text: str) -> None:
+    _write(path, lambda out: out.write(text))
+
+
 def _write_json(path: str | None, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    # json.dump streams the encoder's chunks; dumps would hold them and the whole string
+    def dump(out) -> None:
+        json.dump(obj, out, indent=2)
+        out.write("\n")
+
+    _write(path, dump)
 
 
 def curve_csv(curve: Sequence[Fraction]) -> str:

@@ -34,12 +34,13 @@ class VoteMatrix:
             raise DataError(f"offsets kd={self.offsets.kd} does not match config kd={kd}")
         if self.offsets.d != self.config.d:
             raise DataError(f"{self.offsets.d} offsets for spread degree d={self.config.d}")
+        n_classes = self.config.n_classes
         for t, row in enumerate(self.votes):
             if len(row) != kd:
                 raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
-            for v in row:
-                if v < 0 or v >= self.config.n_classes:
-                    raise DataError(f"vote row {t}: class {v} outside [0, {self.config.n_classes})")
+            if min(row) < 0 or max(row) >= n_classes:
+                v = next(v for v in row if v < 0 or v >= n_classes)
+                raise DataError(f"vote row {t}: class {v} outside [0, {n_classes})")
         if self.labels is not None:
             if len(self.labels) != len(self.votes):
                 raise DimensionMismatch(
@@ -117,5 +118,5 @@ def ensemble_stats(matrix: VoteMatrix) -> EnsembleStats:
     for row, label in zip(matrix.votes, matrix.labels):
         if aggregate_prediction(row, n_classes) == label:
             clean_hits += 1
-        base_hits += sum(1 for v in row if v == label)
+        base_hits += row.count(label)
     return EnsembleStats(Fraction(clean_hits, n), Fraction(base_hits, n * kd))

@@ -366,3 +366,114 @@ def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, mo
         "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
     ) == 0
     assert len(calls) == len(TEST_CSV.splitlines()) - 1
+
+
+@pytest.mark.parametrize("command", [["certify"], ["curve"], ["compare"]])
+def test_certifying_without_tables_tabulates_nothing(
+    tmp_path, train_file, test_file, command, monkeypatch
+):
+    from finiagg import certifier
+
+    calls = []
+    original = certifier.margin_table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "margin_table", counting)
+    assert _run(
+        *command, "--dataset", train_file, "--test", test_file,
+        "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
+    ) == 0
+    assert calls == []
+
+
+def test_wide_class_indices_certify_like_the_reference(tmp_path):
+    from finiagg.certifier import certify_matrix, margin_tables
+
+    # votes above 2**16 need 32-bit class indices; narrower ones would wrap
+    votes = tmp_path / "votes.json"
+    rows = [
+        [69_999, 69_999, 40_000, 69_999, 3, 69_999],
+        [65_536, 65_536, 65_536, 1, 65_537, 65_536],
+        [5, 5, 5, 5, 5, 5],
+        [33_000, 1, 33_000, 1, 2, 3],
+    ]
+    obj = {"k": 3, "d": 2, "offsets": [1, 4], "n_classes": 70_000,
+           "labels": [69_999, 65_536, 4, 1], "votes": rows}
+    votes.write_text(json.dumps(obj), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert _run("certify", "--votes", votes, "--out", report) == 0
+    matrix = votes_from_json(votes.read_text(encoding="utf-8"))
+    reference = certify_matrix(matrix, tables=margin_tables(matrix))
+    certs = json.loads(report.read_text())["certificates"]
+    assert certs == [
+        {"predicted": c.predicted, "correct": c.correct, "fa_radius": c.fa_radius,
+         "dpa_radius": c.dpa_radius}
+        for c in reference
+    ]
+    assert [c["predicted"] for c in certs] == [69_999, 65_536, 5, 1]
+
+
+def test_class_indices_beyond_64_bits_exit_three(tmp_path, capsys):
+    votes = tmp_path / "votes.json"
+    n_classes = 2**63 + 1
+    obj = {"k": 2, "d": 1, "offsets": [0], "n_classes": n_classes, "votes": [[0, n_classes - 1]]}
+    votes.write_text(json.dumps(obj), encoding="utf-8")
+    assert _run("certify", "--votes", votes) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "LimitError"
+
+
+def test_commands_off_the_kernel_path_do_not_import_numpy(tmp_path, train_file, test_file):
+    import subprocess
+    import sys
+
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({**VOTES, "votes": [[1, 0]]}), encoding="utf-8")
+    script = f"""
+import sys
+import finiagg.cli
+assert "numpy" not in sys.modules, "import finiagg.cli"
+for argv in (
+    ["oracle-check", "--votes", {str(votes)!r}],
+    ["cert-acc", "--votes", {str(votes)!r}, "--budget", "1"],
+    ["ia", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "2"],
+):
+    assert finiagg.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_vote_json_holds_one_row_per_line():
+    text = votes_to_json(votes_from_json(json.dumps({**VOTES, "labels": [1, 0], "votes": [[1, 1], [0, 1]]})))
+    assert text == (
+        '{\n  "k": 2,\n  "d": 1,\n  "offsets": [1],\n  "n_classes": 2,\n  "labels": [1, 0],\n'
+        '  "votes": [\n    [1, 1],\n    [0, 1]\n  ]\n}\n'
+    )
+    assert votes_to_json(votes_from_json(text)) == text
+
+
+@pytest.mark.parametrize(
+    "votes, message",
+    [
+        ([[1, 1], [0, 2]], "vote row 1: class 2 outside [0, 2)"),
+        ([[1, -1], [0, 5]], "vote row 0: class -1 outside [0, 2)"),
+        ([[1, 1], [0, 1, 1]], "vote row 1 has 3 entries, expected 2"),
+        ([[1, 1], [0, False]], "vote-matrix JSON field 'votes': False is not an integer"),
+        ([[1, "x", 2.5]], "vote-matrix JSON field 'votes': 'x' is not an integer"),
+        ([[1, 1], 7], "vote-matrix JSON missing or malformed field: 'int' object is not iterable"),
+    ],
+)
+def test_vote_file_errors_name_the_first_bad_value(tmp_path, votes, message, capsys):
+    path = tmp_path / "votes.json"
+    path.write_text(json.dumps({**VOTES, "labels": None, "votes": votes}), encoding="utf-8")
+    assert _run("certify", "--votes", path) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == message

@@ -1,0 +1,112 @@
+"""The array kernel behind ``certify_matrix`` against the margin-table reference."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
+from finiagg.certifier import (
+    _histogram_radius,
+    _int_dtype,
+    _scan_radius,
+    certified_fraction_curve,
+    certify_matrix,
+    margin_tables,
+)
+from finiagg.errors import DataError, LimitError
+
+
+def _assert_matches_reference(matrix: VoteMatrix) -> None:
+    assert certify_matrix(matrix) == certify_matrix(matrix, tables=margin_tables(matrix))
+
+
+def test_kernel_matches_reference_on_every_small_row():
+    """Every row over 2-3 classes for kd <= 6, under every offset set, with and without labels."""
+    for kd in range(1, 7):
+        for d in (d for d in range(1, kd + 1) if kd % d == 0):
+            for n_classes in (2, 3):
+                rows = tuple(itertools.product(range(n_classes), repeat=kd))
+                config = AggregationConfig(k=kd // d, d=d, seed=0, n_classes=n_classes)
+                # each row once per label, so every row is certified both ways
+                labelled = tuple(row for row in rows for _ in range(n_classes))
+                labels = tuple(range(n_classes)) * len(rows)
+                for offsets in itertools.combinations(range(kd), d):
+                    spread = SpreadOffsets(offsets, kd)
+                    _assert_matches_reference(VoteMatrix(rows, config, spread))
+                    _assert_matches_reference(VoteMatrix(labelled, config, spread, labels))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    k=st.integers(1, 1200),
+    d=st.integers(1, 16),
+    n_classes=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    labelled=st.booleans(),
+)
+@example(k=1200, d=16, n_classes=10, seed=0, labelled=False)  # kd = 19,200, as for MNIST
+@example(k=1200, d=16, n_classes=2, seed=1, labelled=True)
+def test_kernel_matches_reference_at_paper_scale(k, d, n_classes, seed, labelled):
+    rng = random.Random(seed)
+    kd = k * d
+    offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
+    rows = []
+    for _ in range(2):
+        # a favourite class with a random share, so radii range from 0 to large
+        favourite, share = rng.randrange(n_classes), rng.random()
+        rows.append(
+            tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
+        )
+    labels = tuple(rng.randrange(n_classes) for _ in rows) if labelled else None
+    config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
+    _assert_matches_reference(VoteMatrix(tuple(rows), config, offsets, labels))
+
+
+def test_histogram_walk_matches_the_sorted_scan():
+    rng = random.Random(3)
+    for _ in range(2000):
+        d = rng.randint(1, 4)
+        losses = [rng.randint(0, 2 * d) for _ in range(rng.randint(1, 12))]
+        hist = [losses.count(e) for e in range(2 * d + 1)]
+        rhs = rng.randint(0, 3 * d * len(losses))
+        assert _histogram_radius(hist, rhs) == _scan_radius(sorted(losses, reverse=True), rhs)
+
+
+def test_dtypes_follow_their_bounds():
+    import numpy as np
+
+    assert _int_dtype(0, "x") is np.int8
+    assert _int_dtype(127, "x") is np.int8
+    assert _int_dtype(128, "x") is np.int16
+    assert _int_dtype(2**15, "x") is np.int32
+    assert _int_dtype(2**63 - 1, "x") is np.int64
+    with pytest.raises(LimitError):
+        _int_dtype(2**63, "class indices")
+
+
+def test_class_indices_beyond_64_bits_are_a_limit_error():
+    n_classes = 2**63 + 1
+    config = AggregationConfig(k=2, d=1, seed=0, n_classes=n_classes)
+    matrix = VoteMatrix(((0, n_classes - 1),), config, SpreadOffsets((0,), 2))
+    with pytest.raises(LimitError):
+        certify_matrix(matrix)
+
+
+def _old_curve(radii, max_attack_size):
+    n = len(radii)
+    return tuple(
+        Fraction(sum(1 for r in radii if r >= m), n) for m in range(max_attack_size + 1)
+    )
+
+
+def test_curve_matches_the_quadratic_formula():
+    rng = random.Random(11)
+    for _ in range(300):
+        max_attack_size = rng.randint(0, 12)
+        radii = [rng.randint(-1, 2 * max_attack_size + 2) for _ in range(rng.randint(1, 20))]
+        assert certified_fraction_curve(radii, max_attack_size) == _old_curve(radii, max_attack_size)
+    with pytest.raises(DataError):
+        certified_fraction_curve([0, 1], -1)
