@@ -90,13 +90,20 @@ class MarginTable:
 
 
 def margin_table(row: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> MarginTable:
-    """Tabulate one vote row into global and per-partition counts."""
+    """Tabulate one vote row into global and per-partition counts.
+
+    The table has a row for every one of the ``n_classes`` classes; when
+    they cannot be allocated, ``LimitError`` says so.
+    """
     kd = offsets.kd
     d = offsets.d
-    counts = [0] * n_classes
+    try:
+        counts = [0] * n_classes
+        per_part = [[0] * kd for _ in range(n_classes)]
+    except (MemoryError, OverflowError):
+        raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
     for v in row:
         counts[v] += 1
-    per_part = [[0] * kd for _ in range(n_classes)]
     for j in range(kd):
         for i in spread(j, offsets):
             per_part[row[i]][j] += 1

@@ -17,8 +17,8 @@ class LabeledSample:
     """One training sample: non-negative integer features plus a class label.
 
     The declared field order (features first, label last) is the canonical
-    lexicographic order used everywhere partitions are serialized for
-    training.
+    lexicographic order of ``canonical_sort``. Training does not depend on
+    sample order, so nothing sorts a subset before training it.
     """
 
     features: tuple[int, ...]
@@ -118,8 +118,7 @@ def validate_dataset(
 def canonical_sort(samples: Iterable[LabeledSample]) -> tuple[LabeledSample, ...]:
     """Order a sample multiset lexicographically by (features, label).
 
-    The result is independent of the input order, which removes any
-    dependence of downstream training on how partitions were accumulated.
-    Duplicates are preserved (multiset semantics).
+    The result is independent of the input order. Duplicates are preserved
+    (multiset semantics).
     """
     return tuple(sorted(samples, key=lambda s: (s.features, s.label)))

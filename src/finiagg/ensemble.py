@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .datamodel import AggregationConfig, Dataset
 from .errors import DataError, DimensionMismatch, EmptyTestSet, MissingLabels
-from .hashing import SpreadOffsets, build_partitions, build_subsets, generate_offsets
+from .hashing import SpreadOffsets, build_partitions, generate_offsets, spread_inverse
 from .learners import LearnerSpec, TrainedModel, argmax, train
 
 
@@ -68,14 +68,23 @@ def train_ensemble(
     offsets: SpreadOffsets | None = None,
     workers: int = 1,
 ) -> list[TrainedModel]:
-    """Train the ``kd`` base models; model ``i`` is trained on subset ``S_i``.
+    """Train the ``kd`` base models from the ``kd`` partitions of the split hash.
 
+    Model ``i`` trains on the union of the ``d`` partitions that
+    ``spread_inverse(i, offsets)`` names, pooled in no particular order:
+    both built-in learners reduce a subset to order-independent sums.
     ``workers`` is accepted and ignored: training runs in the calling thread.
     """
     if offsets is None:
         offsets = generate_offsets(config.k, config.d, config.seed)
-    layout = build_subsets(build_partitions(dataset, config), offsets)
-    return [train(spec, subset, config.n_classes) for subset in layout.subsets]
+    if offsets.kd != config.kd:
+        raise DataError(f"offsets kd={offsets.kd} does not match config kd={config.kd}")
+    partitions = build_partitions(dataset, config).partitions
+    models = []
+    for i in range(config.kd):
+        pooled = [s for j in spread_inverse(i, offsets) for s in partitions[j]]
+        models.append(train(spec, pooled, config.n_classes))
+    return models
 
 
 def collect_votes(
@@ -97,8 +106,12 @@ def collect_votes(
 
 
 def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
-    """Majority vote over one row; ties go to the smaller class index."""
-    counts = [0] * n_classes
+    """Majority vote over one row; ties go to the smaller class index.
+
+    Only classes up to the largest vote are counted, never all ``n_classes``:
+    a class without votes never beats one with votes.
+    """
+    counts = [0] * (max(row, default=0) + 1)
     for v in row:
         counts[v] += 1
     return argmax(counts)

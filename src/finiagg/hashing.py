@@ -1,4 +1,4 @@
-"""Split and spread hashing: partitions, offsets, and training subsets.
+"""Split and spread hashing: partitions and the offsets that spread them.
 
 The split hash sends a sample to one of ``kd`` partitions by the remainder
 of its feature sum. The spread hash sends partition ``j`` to the ``d``
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datamodel import AggregationConfig, Dataset, LabeledSample, canonical_sort
+from .datamodel import AggregationConfig, Dataset, LabeledSample
 from .errors import DataError, DTooLarge, UsageError
 
 _MASK64 = (1 << 64) - 1
@@ -128,14 +128,6 @@ class PartitionAssignment:
     partitions: tuple[tuple[LabeledSample, ...], ...]
 
 
-@dataclass(frozen=True)
-class SubsetLayout:
-    """The spread stage: per-classifier training sequences, canonically sorted."""
-
-    kd: int
-    subsets: tuple[tuple[LabeledSample, ...], ...]
-
-
 def build_partitions(dataset: Dataset, config: AggregationConfig) -> PartitionAssignment:
     """Split the dataset into ``kd`` partitions by the split hash."""
     kd = config.kd
@@ -144,19 +136,3 @@ def build_partitions(dataset: Dataset, config: AggregationConfig) -> PartitionAs
     for s, j in zip(dataset.samples, partition_of):
         buckets[j].append(s)
     return PartitionAssignment(kd, partition_of, tuple(tuple(b) for b in buckets))
-
-
-def build_subsets(assignment: PartitionAssignment, offsets: SpreadOffsets) -> SubsetLayout:
-    """Assemble training subset ``S_i`` from the partitions classifier ``i`` consumes."""
-    if assignment.kd != offsets.kd:
-        raise DataError(
-            f"assignment kd={assignment.kd} and offsets kd={offsets.kd} disagree"
-        )
-    kd = assignment.kd
-    subsets = []
-    for i in range(kd):
-        pooled: list[LabeledSample] = []
-        for j in spread_inverse(i, offsets):
-            pooled.extend(assignment.partitions[j])
-        subsets.append(canonical_sort(pooled))
-    return SubsetLayout(kd, tuple(subsets))

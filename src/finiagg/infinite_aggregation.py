@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .datamodel import Dataset, LabeledSample, canonical_sort
+from .datamodel import Dataset, LabeledSample
 from .errors import InstanceTooLarge
 from .learners import LearnerSpec, argmax, predict, train
 
@@ -65,7 +65,7 @@ def ia_votes(
     conditional = [[Fraction(0)] * n_classes for _ in range(n)]
     for mask in range(1 << n):
         chosen = [dataset.samples[i] for i in range(n) if mask >> i & 1]
-        model = train(spec, canonical_sort(chosen), n_classes)
+        model = train(spec, chosen, n_classes)
         voted = predict(model, features)
         size = len(chosen)
         per_class[voted] += weight_by_size[size]

@@ -28,7 +28,6 @@ MAJORITY_LABEL = "majority-label"
 NEAREST_CENTROID = "nearest-centroid"
 EXTERNAL_VOTES = "external-votes"
 KNOWN_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID, EXTERNAL_VOTES)
-TRAINABLE_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID)
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,10 @@ TrainedModel = MajorityLabelModel | NearestCentroidModel
 def train(
     spec: LearnerSpec, subset: Sequence[LabeledSample], n_classes: int
 ) -> TrainedModel:
-    """Train one base model on a canonically sorted subset.
+    """Train one base model on a subset, given in any order.
 
-    Both built-ins reduce to order-independent statistics, so training is a
-    pure function of the subset multiset.
+    Both built-ins reduce the subset to order-independent sums, so training
+    is a pure function of the subset multiset.
     """
     if spec.kind == MAJORITY_LABEL:
         counts = [0] * n_classes

@@ -427,6 +427,43 @@ def test_class_indices_beyond_64_bits_exit_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "LimitError"
 
 
+# votes stay small, so only a table over every class, not the votes, is too big
+WIDE_ROWS = [[0, 0, 1, 0, 2, 0], [1, 1, 5, 1, 0, 1], [2, 2, 2, 2, 2, 1]]
+
+
+def _wide_votes(path, n_classes):
+    obj = {"k": 3, "d": 2, "offsets": [1, 4], "n_classes": n_classes, "labels": [0, 1, 2],
+           "votes": WIDE_ROWS}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("n_classes", [2**40, 2**63 + 1])
+def test_reference_commands_exit_three_when_classes_cannot_be_tabulated(
+    tmp_path, capsys, n_classes
+):
+    votes = _wide_votes(tmp_path / "votes.json", n_classes)
+    for argv in (("certify", "--verbose"), ("cert-acc",), ("oracle-check",)):
+        assert _run(*argv, "--votes", votes) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "LimitError"
+
+
+def test_certify_counts_only_classes_with_votes(tmp_path):
+    reports = []
+    for n_classes in (2**40, 7):  # 7 = largest vote + 2
+        out = tmp_path / f"{n_classes}.json"
+        assert _run("certify", "--votes", _wide_votes(tmp_path / "votes.json", n_classes),
+                    "--out", out) == 0
+        reports.append(json.loads(out.read_text()))
+    wide, narrow = reports
+    assert wide.pop("n_classes") == 2**40 and narrow.pop("n_classes") == 7
+    assert wide == narrow
+    assert "ensemble_stats" in wide
+
+
 def test_commands_off_the_kernel_path_do_not_import_numpy(tmp_path, train_file, test_file):
     import subprocess
     import sys

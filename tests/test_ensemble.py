@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from finiagg import (
     AggregationConfig,
+    LabeledSample,
     LearnerSpec,
     VoteMatrix,
     aggregate_prediction,
@@ -12,6 +14,7 @@ from finiagg import (
     canonical_sort,
     collect_votes,
     ensemble_stats,
+    generate_offsets,
     predict,
     train,
     train_ensemble,
@@ -19,9 +22,10 @@ from finiagg import (
 )
 from finiagg.datamodel import Dataset
 from finiagg.errors import DataError, DimensionMismatch, EmptyTestSet, MissingLabels
-from finiagg.hashing import SpreadOffsets
+from finiagg.hashing import SpreadOffsets, spread_inverse
 
 MAJORITY = LearnerSpec("majority-label")
+CENTROID = LearnerSpec("nearest-centroid")
 
 
 def _toy_dataset():
@@ -37,6 +41,85 @@ def test_d1_models_equal_per_partition_models():
     partitions = build_partitions(ds, config).partitions
     for i, model in enumerate(models):
         assert model == train(MAJORITY, canonical_sort(partitions[i]), 2)
+
+
+def test_train_ensemble_hand_enumerated():
+    # kd=4, R={0,1}: classifier i trains on partitions {i, i-1 mod 4}
+    a = LabeledSample((0,), 0)   # hash 0
+    b = LabeledSample((1,), 0)   # hash 1
+    c = LabeledSample((3,), 1)   # hash 3
+    ds = Dataset((a, b, c), n_classes=2, feature_dim=1)
+    config = AggregationConfig(k=2, d=2, seed=0, n_classes=2)
+    for spec in (MAJORITY, CENTROID):
+        models = train_ensemble(ds, config, spec, SpreadOffsets((0, 1), 4))
+        assert models == [
+            train(spec, [a, c], 2),
+            train(spec, [a, b], 2),
+            train(spec, [b], 2),
+            train(spec, [c], 2),
+        ]
+
+
+def test_train_ensemble_conserves_label_counts_and_feature_sums(rng):
+    for _ in range(50):
+        k, d = rng.randint(1, 4), rng.randint(1, 3)
+        kd = k * d
+        n = rng.randrange(12)
+        rows = [(rng.randrange(3), rng.randrange(30), rng.randrange(5)) for _ in range(n)]
+        ds = validate_dataset(rows, n_classes=3) if rows else Dataset((), 3, 2)
+        config = AggregationConfig(k=k, d=d, seed=7, n_classes=3)
+        offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
+        models = train_ensemble(ds, config, CENTROID, offsets)
+        counts = [0] * 3
+        sums = [[0, 0] for _ in range(3)]
+        for m in models:
+            for c in range(3):
+                counts[c] += m.class_counts[c]
+                for col, v in enumerate(m.class_sums[c]):  # empty models have no columns
+                    sums[c][col] += v
+        for c in range(3):
+            in_class = [s.features for s in ds.samples if s.label == c]
+            assert counts[c] == d * len(in_class)
+            assert sums[c] == [d * sum(f[col] for f in in_class) for col in range(2)]
+
+
+def test_train_ensemble_is_order_independent():
+    rows = [(i % 3, i, i * i % 7) for i in range(20)]
+    shuffled = list(rows)
+    random.Random(5).shuffle(shuffled)
+    config = AggregationConfig(k=4, d=2, seed=3, n_classes=3)
+    offsets = generate_offsets(4, 2, 3)
+    for spec in (MAJORITY, CENTROID):
+        one = train_ensemble(validate_dataset(rows), config, spec, offsets)
+        two = train_ensemble(validate_dataset(shuffled), config, spec, offsets)
+        assert one == two
+
+
+def test_models_equal_training_on_the_sorted_pooled_partitions(rng):
+    saw_empty = saw_duplicate = False
+    for _ in range(60):
+        k, d = rng.randint(1, 4), rng.randint(1, 4)
+        kd = k * d
+        pool = [(rng.randrange(3), rng.randrange(6), rng.randrange(6)) for _ in range(5)]
+        rows = [rng.choice(pool) for _ in range(rng.randrange(15))]
+        ds = validate_dataset(rows, n_classes=3) if rows else Dataset((), 3, 2)
+        config = AggregationConfig(k=k, d=d, seed=rng.randrange(100), n_classes=3)
+        offsets = generate_offsets(k, d, config.seed)
+        partitions = build_partitions(ds, config).partitions
+        saw_empty |= any(not p for p in partitions)
+        saw_duplicate |= len(set(rows)) < len(rows)
+        for spec in (MAJORITY, CENTROID):
+            models = train_ensemble(ds, config, spec, offsets)
+            for i, model in enumerate(models):
+                pooled = [s for j in spread_inverse(i, offsets) for s in partitions[j]]
+                assert model == train(spec, canonical_sort(pooled), 3)
+    assert saw_empty and saw_duplicate
+
+
+def test_train_ensemble_rejects_offsets_of_another_kd():
+    config = AggregationConfig(k=2, d=1, seed=0, n_classes=2)
+    with pytest.raises(DataError):
+        train_ensemble(_toy_dataset(), config, MAJORITY, SpreadOffsets((0,), 3))
 
 
 def test_empty_dataset_trains_constant_zero_models():

@@ -1,13 +1,9 @@
-import random
-
 import pytest
 
 from finiagg import (
     AggregationConfig,
     LabeledSample,
     build_partitions,
-    build_subsets,
-    canonical_sort,
     generate_offsets,
     split_hash,
     spread,
@@ -104,53 +100,3 @@ def test_build_partitions_empty_dataset():
     assignment = build_partitions(ds, config)
     assert len(assignment.partitions) == 6
     assert all(p == () for p in assignment.partitions)
-
-
-def test_build_subsets_hand_enumerated():
-    # kd=4, R={0,1}: classifier i consumes partitions {i, i-1 mod 4}
-    a = LabeledSample((0,), 0)   # hash 0
-    b = LabeledSample((1,), 0)   # hash 1
-    c = LabeledSample((3,), 1)   # hash 3
-    ds = Dataset((a, b, c), n_classes=2, feature_dim=1)
-    config = AggregationConfig(k=2, d=2, seed=0, n_classes=2)
-    layout = build_subsets(build_partitions(ds, config), SpreadOffsets((0, 1), 4))
-    assert layout.subsets[0] == canonical_sort([a, c])
-    assert layout.subsets[1] == canonical_sort([a, b])
-    assert layout.subsets[2] == (b,)
-    assert layout.subsets[3] == (c,)
-
-
-def test_build_subsets_d1_reduces_to_plain_partitions():
-    ds = _dataset([(0, 0), (0, 1), (1, 2), (1, 3), (0, 4)])
-    config = AggregationConfig(k=3, d=1, seed=0, n_classes=2)
-    assignment = build_partitions(ds, config)
-    layout = build_subsets(assignment, SpreadOffsets((0,), 3))
-    for i in range(3):
-        assert layout.subsets[i] == canonical_sort(assignment.partitions[i])
-
-
-def test_build_subsets_conservation_and_multiplicity(rng):
-    for _ in range(50):
-        k, d = rng.randint(1, 4), rng.randint(1, 3)
-        kd = k * d
-        rows = [(rng.randrange(3), rng.randrange(30)) for _ in range(rng.randrange(12))]
-        ds = validate_dataset(rows, n_classes=3) if rows else Dataset((), 3, 1)
-        config = AggregationConfig(k=k, d=d, seed=7, n_classes=3)
-        offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
-        layout = build_subsets(build_partitions(ds, config), offsets)
-        assert sum(len(s) for s in layout.subsets) == d * len(ds)
-        for sample in ds.samples:
-            appearances = sum(s.count(sample) for s in layout.subsets)
-            total = ds.samples.count(sample)
-            assert appearances == d * total
-
-
-def test_layout_is_order_independent():
-    rows = [(i % 3, i, i * i % 7) for i in range(20)]
-    shuffled = list(rows)
-    random.Random(5).shuffle(shuffled)
-    config = AggregationConfig(k=4, d=2, seed=3, n_classes=3)
-    offsets = generate_offsets(4, 2, 3)
-    one = build_subsets(build_partitions(validate_dataset(rows), config), offsets)
-    two = build_subsets(build_partitions(validate_dataset(shuffled), config), offsets)
-    assert one == two
