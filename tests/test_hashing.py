@@ -3,11 +3,15 @@ import pytest
 from finiagg import (
     AggregationConfig,
     LabeledSample,
+    LearnerSpec,
     build_partitions,
+    canonical_sort,
     generate_offsets,
     split_hash,
     spread,
     spread_inverse,
+    train,
+    train_ensemble,
     validate_dataset,
 )
 from finiagg.datamodel import Dataset
@@ -100,3 +104,17 @@ def test_build_partitions_empty_dataset():
     assignment = build_partitions(ds, config)
     assert len(assignment.partitions) == 6
     assert all(p == () for p in assignment.partitions)
+
+
+def test_build_subsets_d1_reduces_to_plain_partitions():
+    # d=1 is DPA: classifier i pools partition i alone, so its model is the
+    # one trained on that partition (the former build_subsets layout).
+    ds = _dataset([(0, 0), (0, 1), (1, 2), (1, 3), (0, 4)])
+    config = AggregationConfig(k=3, d=1, seed=0, n_classes=2)
+    offsets = SpreadOffsets((0,), 3)
+    assignment = build_partitions(ds, config)
+    for spec in (LearnerSpec("majority-label"), LearnerSpec("nearest-centroid")):
+        models = train_ensemble(ds, config, spec, offsets)
+        for i in range(3):
+            assert spread_inverse(i, offsets) == {i}
+            assert models[i] == train(spec, canonical_sort(assignment.partitions[i]), 2)
