@@ -285,50 +285,50 @@ def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
 def _certify_rows(matrix: VoteMatrix) -> list[SampleCertificate]:
     """``certify_matrix`` without margin tables: exact integer NumPy, row by row.
 
-    Per row: global counts by ``bincount``, the prediction by ``argmax``
-    (first maximum, so ties go to the smaller index), the per-partition
-    counts of a class by one shifted add of its one-hot per offset, and per
-    challenger a histogram of the losses ``e = d + a[c] - a[q]``. Classes
-    without votes share ``a[q] = 0``; the smallest of them has the smallest
-    margin and stands for them all. Each dtype is sized from the bound its
-    values obey, so no valid input wraps around.
+    Per row: the counts of the classes with votes, the prediction by
+    ``argmax`` over them in class order (first maximum, so ties go to the
+    smaller index), the per-partition counts ``a`` of a class by a circulant
+    sum of its one-hot over the offsets, and per challenger a histogram of
+    the losses ``e = d + a[c] - a[q]``. Classes without votes share
+    ``a[q] = 0``; the smallest of them has the smallest margin and stands
+    for them all. Each dtype is sized from the bound its values obey, so no
+    valid input wraps around.
     """
     import numpy as np  # imported here: commands that never certify without tables skip its cost
+
+    from .arrays import circulant_sum
 
     kd, d, n_classes = matrix.config.kd, matrix.config.d, matrix.config.n_classes
     vote_dtype = _int_dtype(n_classes - 1, "class indices")
     count_dtype = _int_dtype(d, "per-partition vote counts")
     loss_dtype = _int_dtype(2 * d, "margin losses")
-    # bincount counts up to kd in intp, which holds the length of any row in memory
     offsets = matrix.offsets.offsets
     labels = matrix.labels
-
-    def partition_counts(onehot):
-        # a[j] = sum over r of onehot[(j + r) mod kd]
-        twice = np.concatenate((onehot, onehot))
-        a = np.zeros(kd, count_dtype)
-        for r in offsets:
-            a += twice[r : r + kd]
-        return a
 
     certs = []
     for t, votes in enumerate(matrix.votes):
         row = np.array(votes, dtype=vote_dtype)
-        counts = np.bincount(row)
-        c = int(counts.argmax())
+        if row.max() < kd:
+            # bincount holds max + 1 counters, at most kd here; np.unique sorts the row
+            counts = np.bincount(row)
+            classes = np.flatnonzero(counts)
+            counts = counts[classes]
+        else:
+            classes, counts = np.unique(row, return_counts=True)
+        c = int(classes[counts.argmax()])
         label = labels[t] if labels is not None else None
         if label is not None and c != label:
             certs.append(SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1))
             continue
-        counts = counts.tolist()
-        top = partition_counts(row == c).astype(loss_dtype) + d  # d + a[c]
-        challengers = [(q, n) for q, n in enumerate(counts) if n and q != c]
-        absent = next((q for q, n in enumerate(counts) if n == 0), len(counts))
+        counts = dict(zip(classes.tolist(), counts.tolist()))
+        top = circulant_sum(row == c, offsets, count_dtype).astype(loss_dtype) + d  # d + a[c]
+        challengers = [(q, n) for q, n in counts.items() if q != c]
+        absent = next((i for i, q in enumerate(counts) if q != i), len(counts))
         if absent < n_classes:
             challengers.append((absent, 0))
         fine = base = kd
         for q, n_q in challengers:
-            losses = top - partition_counts(row == q) if n_q else top
+            losses = top - circulant_sum(row == q, offsets, count_dtype) if n_q else top
             rhs = counts[c] - n_q - (q < c)
             hist = np.bincount(losses, minlength=2 * d + 1).tolist()
             fine = min(fine, _histogram_radius(hist, rhs))

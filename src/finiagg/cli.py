@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .certifier import MarginTable, build_report, certified_accuracy, margin_tables
-from .datamodel import AggregationConfig, Dataset, validate_dataset
+from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
 from .ensemble import VoteMatrix, collect_votes, ensemble_stats, train_ensemble
 from .errors import (
     DataError,
@@ -105,13 +105,21 @@ def read_test_csv(
 def _read_csv(path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: missing header") from None
+        feature_dim, labeled = _read_header(reader, path)
+        return list(_int_rows(reader, path)), feature_dim, labeled
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_header(reader, path: str | Path) -> tuple[int, bool]:
+    """Check the header row; returns (feature count, has a label column)."""
+    header = next(reader, [])
+    if not header:
+        raise DataError(f"{path}: missing header")
     header = [h.strip() for h in header]
     labeled = header[0] == "label"
     feature_names = header[1:] if labeled else header
@@ -120,15 +128,18 @@ def _read_csv(path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
         raise DataError(
             f"{path}: header must be 'label,f0,...' or 'f0,...', got {','.join(header)}"
         )
-    rows = []
+    return len(feature_names), labeled
+
+
+def _int_rows(reader, path: str | Path):
+    """Yield each non-blank row after the header as a tuple of ints."""
     for idx, cells in enumerate(reader):
         if not cells:
             continue
         # int() would also accept " 3", "1_0" and non-ASCII digits
         if not all(map(_INT_CELL.fullmatch, cells)):
             raise DataError(f"{path}: row {idx} has a non-integer cell")
-        rows.append(tuple(map(int, cells)))
-    return rows, len(feature_names), labeled
+        yield tuple(map(int, cells))
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
@@ -189,7 +200,7 @@ def votes_from_json(text: str) -> VoteMatrix:
 def load_votes(path: str | Path) -> VoteMatrix:
     try:
         return votes_from_json(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -245,20 +256,84 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise UsageError(f"unknown learner {args.learner!r}")
     if kind == EXTERNAL_VOTES:
         raise UsageError("learner external-votes requires --votes")
-    dataset = read_dataset_csv(args.dataset, args.n_classes)
+    matrix = _array_matrix(args, kind)
+    if matrix is None:
+        matrix = _reference_matrix(args, kind)
+    if args.save_votes:
+        _write_text(args.save_votes, votes_to_json(matrix))
+    return matrix
+
+
+def _checked_rows(rows, n_classes: int | None, feature_dim: int):
+    """Pass on rows ``(label, f0, ...)`` that keep the rules ``validate_dataset`` checks."""
+    for idx, row in enumerate(rows):
+        check_row(idx, row[0], row[1:], n_classes, feature_dim)
+        yield row
+
+
+def _test_set_and_layout(args, n_classes: int):
+    """Read the test CSV and draw the offsets, checking in the order the reference does."""
     features, labels = read_test_csv(args.test)
-    n_classes = dataset.n_classes
     if labels is not None:
         for idx, lab in enumerate(labels):
             if lab < 0 or lab >= n_classes:
                 raise DataError(f"{args.test}: row {idx}: label {lab} outside [0, {n_classes})")
     config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
     offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
+    return features, labels, config, offsets
+
+
+def _reference_matrix(args, kind: str) -> VoteMatrix:
+    """Train every model on its pooled partitions and evaluate it on every test input."""
+    dataset = read_dataset_csv(args.dataset, args.n_classes)
+    features, labels, config, offsets = _test_set_and_layout(args, dataset.n_classes)
     models = train_ensemble(dataset, config, LearnerSpec(kind), offsets)
-    matrix = collect_votes(models, features, config, offsets, labels)
-    if args.save_votes:
-        _write_text(args.save_votes, votes_to_json(matrix))
-    return matrix
+    return collect_votes(models, features, config, offsets, labels)
+
+
+def _array_matrix(args, kind: str) -> VoteMatrix | None:
+    """``_reference_matrix`` from int64 partition statistics, streaming the training CSV.
+
+    Returns None, before raising anything, for any training CSV or
+    ``--k``/``--d`` that ``read_dataset_csv`` or the layout would reject, so
+    that the reference reports the first error in its own order. Also None
+    when the statistics or votes could leave int64, or the test inputs'
+    width differs from the training features'; the reference then votes in
+    Python integers or raises.
+    """
+    if args.k < 1 or args.d < 1:
+        return None
+    from . import arrays  # imports numpy, which `import finiagg.cli` must not
+
+    n_classes = args.n_classes
+    try:
+        with open(args.dataset, encoding="utf-8") as file:
+            reader = csv.reader(file)
+            feature_dim, labeled = _read_header(reader, args.dataset)
+            if not labeled or feature_dim < 1:
+                return None
+            rows = _checked_rows(_int_rows(reader, args.dataset), n_classes, feature_dim)
+            stats = arrays.partition_statistics(
+                rows, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
+            )
+    except (OSError, UnicodeDecodeError, csv.Error, DataError):
+        return None
+    if stats is None:
+        return None
+    if n_classes is None:
+        n_classes = stats.max_label + 1  # 0 without rows, which needs an explicit n_classes
+    if n_classes < 1:
+        return None
+    features, labels, config, offsets = _test_set_and_layout(args, n_classes)
+    stats = arrays.classifier_statistics(stats, offsets)
+    if kind == MAJORITY_LABEL:
+        votes = [arrays.majority_votes(stats)] * len(features)
+    else:
+        votes = arrays.centroid_votes(stats, features)
+        if votes is None:
+            return None
+    labels = tuple(labels) if labels is not None else None
+    return VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
 
 
 def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:

@@ -96,13 +96,7 @@ def validate_dataset(
         features = tuple(int(v) for v in row[1:])
         if feature_dim is None:
             feature_dim = len(features)
-        if len(features) != feature_dim:
-            raise RaggedRow(idx, feature_dim, len(features))
-        for col, value in enumerate(features):
-            if value < 0:
-                raise NegativeFeature(idx, col, value)
-        if label < 0 or (n_classes is not None and label >= n_classes):
-            raise LabelOutOfRange(idx, label, n_classes if n_classes is not None else 0)
+        check_row(idx, label, features, n_classes, feature_dim)
         max_label = max(max_label, label)
         samples.append(LabeledSample(features, label))
 
@@ -113,6 +107,23 @@ def validate_dataset(
     if feature_dim is None:
         raise DataError("cannot infer feature_dim from an empty dataset")
     return Dataset(tuple(samples), n_classes, feature_dim)
+
+
+def check_row(
+    idx: int, label: int, features: Sequence[int], n_classes: int | None, feature_dim: int
+) -> None:
+    """Raise the error for row ``idx`` if it breaks a dataset rule, checked in this order.
+
+    The row must have ``feature_dim`` features, none negative, and a label in
+    ``[0, n_classes)``; without ``n_classes`` any non-negative label passes.
+    """
+    if len(features) != feature_dim:
+        raise RaggedRow(idx, feature_dim, len(features))
+    if features and min(features) < 0:
+        col = next(col for col, value in enumerate(features) if value < 0)
+        raise NegativeFeature(idx, col, features[col])
+    if label < 0 or (n_classes is not None and label >= n_classes):
+        raise LabelOutOfRange(idx, label, n_classes if n_classes is not None else 0)
 
 
 def canonical_sort(samples: Iterable[LabeledSample]) -> tuple[LabeledSample, ...]:

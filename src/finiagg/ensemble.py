@@ -9,6 +9,7 @@ classifier cast each vote.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,13 +109,12 @@ def collect_votes(
 def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
     """Majority vote over one row; ties go to the smaller class index.
 
-    Only classes up to the largest vote are counted, never all ``n_classes``:
-    a class without votes never beats one with votes.
+    Only the classes with votes are counted, in class order, never all
+    ``n_classes``: a class without votes never beats one with votes.
     """
-    counts = [0] * (max(row, default=0) + 1)
-    for v in row:
-        counts[v] += 1
-    return argmax(counts)
+    counts = Counter(row)
+    classes = sorted(counts)
+    return classes[argmax([counts[c] for c in classes])] if classes else 0
 
 
 def ensemble_stats(matrix: VoteMatrix) -> EnsembleStats:

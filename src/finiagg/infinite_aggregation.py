@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .datamodel import Dataset, LabeledSample
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, LimitError
 from .learners import LearnerSpec, argmax, predict, train
 
 DEFAULT_LIMIT = 16
@@ -61,8 +61,11 @@ def ia_votes(
     q = 1 - p
     weight_by_size = [p**s * q ** (n - s) for s in range(n + 1)]
 
-    per_class = [Fraction(0)] * n_classes
-    conditional = [[Fraction(0)] * n_classes for _ in range(n)]
+    try:
+        per_class = [Fraction(0)] * n_classes
+        conditional = [[Fraction(0)] * n_classes for _ in range(n)]
+    except (MemoryError, OverflowError):
+        raise LimitError(f"class scores over {n_classes} classes do not fit in memory") from None
     for mask in range(1 << n):
         chosen = [dataset.samples[i] for i in range(n) if mask >> i & 1]
         model = train(spec, chosen, n_classes)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import LabeledSample
-from .errors import DimensionMismatch, UnknownLearnerKind, UsageError
+from .errors import DimensionMismatch, LimitError, UnknownLearnerKind, UsageError
 
 MAJORITY_LABEL = "majority-label"
 NEAREST_CENTROID = "nearest-centroid"
@@ -103,28 +103,31 @@ def train(
     """Train one base model on a subset, given in any order.
 
     Both built-ins reduce the subset to order-independent sums, so training
-    is a pure function of the subset multiset.
+    is a pure function of the subset multiset. They hold a count for every
+    one of the ``n_classes`` classes; when those cannot be allocated,
+    ``LimitError`` says so.
     """
-    if spec.kind == MAJORITY_LABEL:
+    if spec.kind == EXTERNAL_VOTES:
+        raise UsageError("external-votes supplies predictions via a vote matrix file")
+    if spec.kind not in (MAJORITY_LABEL, NEAREST_CENTROID):
+        raise UnknownLearnerKind(spec.kind)
+    dim = len(subset[0].features) if subset else 0
+    try:
         counts = [0] * n_classes
+        if spec.kind == NEAREST_CENTROID:
+            sums = [[0] * dim for _ in range(n_classes)]
+    except (MemoryError, OverflowError):
+        raise LimitError(f"a model of {n_classes} classes does not fit in memory") from None
+    if spec.kind == MAJORITY_LABEL:
         for s in subset:
             counts[s.label] += 1
         return MajorityLabelModel(n_classes, tuple(counts))
-    if spec.kind == NEAREST_CENTROID:
-        dim = len(subset[0].features) if subset else 0
-        counts = [0] * n_classes
-        sums = [[0] * dim for _ in range(n_classes)]
-        for s in subset:
-            counts[s.label] += 1
-            row = sums[s.label]
-            for col, v in enumerate(s.features):
-                row[col] += v
-        return NearestCentroidModel(
-            n_classes, dim, tuple(counts), tuple(tuple(r) for r in sums)
-        )
-    if spec.kind == EXTERNAL_VOTES:
-        raise UsageError("external-votes supplies predictions via a vote matrix file")
-    raise UnknownLearnerKind(spec.kind)
+    for s in subset:
+        counts[s.label] += 1
+        row = sums[s.label]
+        for col, v in enumerate(s.features):
+            row[col] += v
+    return NearestCentroidModel(n_classes, dim, tuple(counts), tuple(tuple(r) for r in sums))
 
 
 def predict(model: TrainedModel, features: Sequence[int]) -> int:

@@ -514,3 +514,155 @@ def test_vote_file_errors_name_the_first_bad_value(tmp_path, votes, message, cap
     path.write_text(json.dumps({**VOTES, "labels": None, "votes": votes}), encoding="utf-8")
     assert _run("certify", "--votes", path) == 2
     assert json.loads(capsys.readouterr().err)["message"] == message
+
+
+# Training CSVs the streamed reader must reject exactly as read_dataset_csv does:
+# (train CSV or None for a missing file, extra argv, exit code, error, message)
+STREAM_ERRORS = [
+    (None, [], 2, "DataError",
+     "cannot read {train}: [Errno 2] No such file or directory: '{train}'"),
+    ("", [], 2, "DataError", "{train}: missing header"),
+    ("label,f1\n0,1\n", [], 2, "DataError",
+     "{train}: header must be 'label,f0,...' or 'f0,...', got label,f1"),
+    ("f0,f1\n1,2\n", [], 2, "DataError", "{train}: training data needs a label column"),
+    ("label\n0\n", [], 2, "DataError", "feature_dim must be positive, got 0"),
+    ("label,f0,f1\n0,1,2\n1,2,x\n", [], 2, "DataError", "{train}: row 1 has a non-integer cell"),
+    ("label,f0,f1\n0,1,2\n1,2\n", [], 2, "RaggedRow", "row 1: expected 2 feature columns, got 1"),
+    ("label,f0,f1\n0,1,2\n1,2,-3\n", [], 2, "NegativeFeature", "row 1: feature f1 is negative (-3)"),
+    ("label,f0,f1\n0,1,2\n3,2,2\n", ["--n-classes", "3"], 2, "LabelOutOfRange",
+     "row 1: label 3 outside [0, 3)"),
+    ("label,f0,f1\n-1,1,2\n", [], 2, "LabelOutOfRange", "row 0: label -1 outside [0, 0)"),
+    ("label,f0,f1\n", [], 2, "DataError", "empty dataset needs an explicit n_classes"),
+    ("label,f0,f1\n", ["--n-classes", "0"], 2, "DataError", "n_classes must be positive, got 0"),
+    # every row is checked for integer cells before any row is validated
+    ("label,f0,f1\n0,1\n0,-1,2\n0,1,x\n", [], 2, "DataError", "{train}: row 2 has a non-integer cell"),
+    ("label,f0,f1\n0,1\n0,-1,2\n", [], 2, "RaggedRow", "row 0: expected 2 feature columns, got 1"),
+    # the training CSV is read before --k and --d are checked
+    ("label,f0,f1\n0,1,x\n", ["--k", "0"], 2, "DataError", "{train}: row 0 has a non-integer cell"),
+    ("label,f0,f1\n0,1\n", ["--d", "0"], 2, "RaggedRow", "row 0: expected 2 feature columns, got 1"),
+    ("label,f0,f1\n0,1,x\n", ["--d", "2", "--dpa-compatible"], 2, "DataError",
+     "{train}: row 0 has a non-integer cell"),
+    (TRAIN_CSV, ["--k", "0"], 2, "DataError", "k must be positive, got 0"),
+    (TRAIN_CSV, ["--k", "-2", "--d", "0"], 2, "DataError", "k must be positive, got -2"),
+    (TRAIN_CSV, ["--d", "0"], 2, "DataError", "d must be positive, got 0"),
+    (TRAIN_CSV, ["--d", "2", "--dpa-compatible"], 1, "UsageError",
+     "dpa-compatible mode requires d=1, got d=2"),
+    ("label,f0,f1\n0,1,2\n", [], 2, "DataError", "{test}: row 1: label 1 outside [0, 1)"),
+]
+
+
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+@pytest.mark.parametrize("train_csv, extra, code, error, message", STREAM_ERRORS)
+def test_streamed_training_csv_fails_like_the_reference(
+    tmp_path, test_file, learner, train_csv, extra, code, error, message, capsys
+):
+    train = tmp_path / "train.csv"
+    if train_csv is not None:
+        train.write_text(train_csv, encoding="utf-8")
+    argv = ["certify", "--dataset", train, "--test", test_file, "--learner", learner, *extra]
+    assert _run(*argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    want = {"error": error, "message": message.format(train=train, test=test_file), "exit_code": code}
+    assert err == json.dumps(want) + "\n"
+
+
+def test_streamed_training_csv_may_be_a_directory(tmp_path, test_file, capsys):
+    assert _run("certify", "--dataset", tmp_path, "--test", test_file) == 2
+    message = f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    assert json.loads(capsys.readouterr().err)["message"] == message
+
+
+def test_empty_training_csv_with_n_classes_votes_class_zero(tmp_path, test_file):
+    train = tmp_path / "train.csv"
+    train.write_text("label,f0,f1\n", encoding="utf-8")
+    for learner in ("centroid", "majority"):
+        votes = tmp_path / "votes.json"
+        assert _run("curve", "--dataset", train, "--test", test_file, "--k", 3, "--d", 2,
+                    "--n-classes", 3, "--learner", learner, "--save-votes", votes,
+                    "--out", tmp_path / "c.csv") == 0
+        assert votes_from_json(votes.read_text(encoding="utf-8")).votes == ((0,) * 6,) * 3
+
+
+def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_file, capsys):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("f0\n2\n8\n", encoding="utf-8")
+    argv = ("certify", "--dataset", train_file, "--test", narrow, "--k", 3, "--d", 2)
+    assert _run(*argv, "--learner", "centroid") == 2
+    want = {"error": "DimensionMismatch", "message": "expected 2 features, got 1", "exit_code": 2}
+    assert capsys.readouterr().err == json.dumps(want) + "\n"
+    assert _run(*argv, "--learner", "majority", "--out", tmp_path / "r.json") == 0
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\nlabel,f0\n0,1\n", b"label,f0\n0,\xff\n", b'label,f0\n0,"' + b"1" * 140_000 + b'"\n'],
+    ids=["blank-header-line", "not-utf-8", "field-over-csv-limit"],
+)
+def test_unreadable_csv_text_is_a_data_error(tmp_path, train_file, test_file, content, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    for dataset, test in ((bad, test_file), (train_file, bad)):
+        for command in (["certify", "--k", "3"], ["ia", "--k", "2"]):
+            assert _run(*command, "--dataset", dataset, "--test", test) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "DataError"
+
+
+def test_unreadable_vote_file_text_is_a_data_error(tmp_path, capsys):
+    votes = tmp_path / "votes.json"
+    votes.write_bytes(b"\xff")
+    assert _run("certify", "--votes", votes) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+def test_dataset_runs_size_the_class_axis_from_the_labels(tmp_path, train_file, test_file, learner):
+    reports = []
+    for n_classes in (2**40, 4):  # 4 = largest label + 2
+        out = tmp_path / f"{n_classes}.json"
+        assert _run("certify", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2,
+                    "--learner", learner, "--n-classes", n_classes, "--out", out) == 0
+        reports.append(json.loads(out.read_text()))
+    wide, narrow = reports
+    assert wide.pop("n_classes") == 2**40 and narrow.pop("n_classes") == 4
+    assert wide == narrow
+
+
+@pytest.mark.parametrize("n_classes", [2**40, 2**63 + 1])
+def test_training_references_exit_three_when_classes_cannot_be_allocated(
+    tmp_path, train_file, test_file, n_classes, capsys
+):
+    # cells past int64 send certify to the reference, which trains with n_classes counters
+    huge = tmp_path / "huge.csv"
+    huge.write_text(TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n"), encoding="utf-8")
+    for argv in (("ia", "--dataset", train_file), ("certify", "--dataset", huge, "--learner", "majority"),
+                 ("certify", "--dataset", huge, "--learner", "centroid")):
+        assert _run(*argv, "--test", test_file, "--k", 2, "--n-classes", n_classes) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "LimitError"
+
+
+def test_certify_counts_classes_beyond_kd_without_a_counter_per_class(tmp_path):
+    big = 2**40 - 1
+    wide = [[0, 0, 1, 0, big, 0], [big, big, 5, big, 0, 1], [2, 2, 2, 2, 2, 1]]
+    # 7 keeps big's order against every class present and against 2, the smallest absent one
+    narrow = [[7 if v == big else v for v in row] for row in wide]
+    reports = []
+    for n_classes, rows, labels in ((2**40, wide, [0, big, 2]), (8, narrow, [0, 7, 2])):
+        votes = tmp_path / "votes.json"
+        obj = {"k": 3, "d": 2, "offsets": [1, 4], "n_classes": n_classes, "labels": labels,
+               "votes": rows}
+        votes.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / f"{n_classes}.json"
+        assert _run("certify", "--votes", votes, "--out", out) == 0
+        reports.append(json.loads(out.read_text()))
+    wide_report, narrow_report = reports
+    assert wide_report.pop("n_classes") == 2**40 and narrow_report.pop("n_classes") == 8
+    for cert in wide_report["certificates"]:
+        cert["predicted"] = 7 if cert["predicted"] == big else cert["predicted"]
+    assert wide_report == narrow_report
+    assert [c["predicted"] for c in narrow_report["certificates"]] == [0, 7, 2]
