@@ -28,7 +28,7 @@ from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
 _TRAIN_BLOCK = 1024  # training rows folded per array
-_TEST_BLOCK = 4  # test rows voted per array of kd * C * 4 values
+_TEST_BLOCK = 16  # test rows voted per (kd, 16) array
 
 
 def circulant_sum(values, shifts: Iterable[int], dtype):
@@ -127,8 +127,8 @@ def centroid_votes(
     """Votes ``[t][i]`` of the nearest-centroid models on every test input.
 
     The squared distance of ``x`` to class c's centroid ``s_c / n_c`` is
-    ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``; a C-1 step tournament
-    compares candidates by ``num_a * n_b^2 < num_b * n_a^2``, skipping
+    ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``; a tournament over the
+    classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``, skipping
     absent classes, so ties stay with the smaller index and a model without
     samples votes 0. Returns None when some product could reach 2^63,
     judged by ``(max n * max(x, s))^2 * F * (max n)^2``, or when the test
@@ -147,24 +147,25 @@ def centroid_votes(
     test = np.array(test_inputs, dtype=np.int64)
     present = counts > 0
     den = counts * counts
-    # |n x - s|^2 = n^2 |x|^2 - 2 n (s . x) + |s|^2; a partial sum may wrap, but
-    # int64 arithmetic is exact modulo 2^64 and the total lies in [0, 2^63)
     sq_sums = np.einsum("icf,icf->ic", sums, sums)
     votes = np.empty((len(test), kd), np.int64)
     for start in range(0, len(test), _TEST_BLOCK):
         x = test[start : start + _TEST_BLOCK].T  # (F, B)
-        num = sums @ x  # (kd, C, B)
-        num *= -2 * counts[:, :, None]
-        num += den[:, :, None] * (x * x).sum(axis=0)
-        num += sq_sums[:, :, None]
-        best = np.zeros((kd, x.shape[1]), np.int64)
-        best_num, best_den = num[:, 0], np.broadcast_to(den[:, :1], best.shape)
-        have = present[:, :1]
-        for c in range(1, n_classes):
-            win = present[:, c : c + 1] & (~have | (num[:, c] * best_den < best_num * den[:, c : c + 1]))
+        xx = (x * x).sum(axis=0)
+        best = best_num = best_den = np.zeros((kd, x.shape[1]), np.int64)
+        have = np.zeros((kd, 1), bool)
+        for c in range(n_classes):
+            n_c, den_c = counts[:, c : c + 1], den[:, c : c + 1]
+            # |n x - s|^2 = n^2 |x|^2 - 2 n (s . x) + |s|^2; a partial sum may wrap,
+            # but int64 arithmetic is exact modulo 2^64 and the total is below 2^63
+            num = sums[:, c] @ x
+            num *= -2 * n_c
+            num += den_c * xx
+            num += sq_sums[:, c : c + 1]
+            win = present[:, c : c + 1] & (~have | (num * best_den < best_num * den_c))
             best = np.where(win, c, best)
-            best_num = np.where(win, num[:, c], best_num)
-            best_den = np.where(win, den[:, c : c + 1], best_den)
+            best_num = np.where(win, num, best_num)
+            best_den = np.where(win, den_c, best_den)
             have = have | present[:, c : c + 1]
         votes[start : start + x.shape[1]] = best.T
     return votes.tolist()

@@ -307,6 +307,7 @@ def _array_matrix(args, kind: str) -> VoteMatrix | None:
 
     n_classes = args.n_classes
     try:
+        # newlines translated as read_text translates them, so cells split alike
         with open(args.dataset, encoding="utf-8") as file:
             reader = csv.reader(file)
             feature_dim, labeled = _read_header(reader, args.dataset)

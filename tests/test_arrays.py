@@ -73,40 +73,36 @@ def _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
     return collect_votes(models, test_inputs, config, offsets).votes, models
 
 
-def _fits_int64(learner, train_rows, test_inputs, width, models) -> bool:
-    """Whether the front end's int64 bounds admit the input, computed from the reference models."""
+def _int64_guards(learner, train_rows, test_inputs, width, models):
+    """What the front end must keep below 2^63, as (value, its power of a common feature scale).
+
+    Computed from the reference models: every row and partition sum is at most
+    ``max(n_rows, F) * max cell``, and the centroid tournament's products at
+    most ``(max n * max(x, s))^2 * F * (max n)^2``.
+    """
     max_cell = max((v for row in train_rows for v in row[1:]), default=0)
-    if max(len(train_rows), width) * max_cell >= LIMIT:
-        return False
-    if learner == "majority" or not train_rows:
-        return True
-    max_n = max(max(m.class_counts) for m in models)
-    max_s = max((v for m in models for sums in m.class_sums for v in sums), default=0)
-    max_x = max(v for x in test_inputs for v in x)
-    return (max_n * max(max_x, max_s)) ** 2 * width * max_n**2 < LIMIT
+    guards = [(max(len(train_rows), width) * max_cell, 1)]
+    if learner == "centroid" and train_rows:
+        max_n = max(max(m.class_counts) for m in models)
+        max_s = max(v for m in models for sums in m.class_sums for v in sums)
+        max_x = max(v for x in test_inputs for v in x)
+        guards.append(((max_n * max(max_x, max_s)) ** 2 * width * max_n**2, 2))
+    return guards
 
 
-def _scale_to_bound(learner, train_rows, test_inputs, width, kd, models, side):
+def _scale_to_bound(guards, kd, side):
     """A factor s = 1 mod kd, which keeps every partition, that puts the input next to the bound.
 
-    ``below`` is the largest such factor the int64 bounds admit, ``past`` the
+    ``below`` is the largest such factor the last guard admits, ``past`` the
     next one, and ``beyond`` makes cells too large for int64 at all.
     """
     if side == "beyond":
         return 1 + kd * LIMIT
-    max_cell = max((v for row in train_rows for v in row[1:]), default=0)
-    if learner == "majority":
-        unit, power = max(len(train_rows), width) * max_cell, 1
-    else:
-        max_n = max(max(m.class_counts) for m in models)
-        max_s = max((v for m in models for sums in m.class_sums for v in sums), default=0)
-        max_x = max(v for x in test_inputs for v in x)
-        unit, power = (max_n * max(max_x, max_s)) ** 2 * width * max_n**2, 2
+    unit, power = guards[-1]
     if unit == 0:
         return 1
     largest = (LIMIT - 1) // unit if power == 1 else isqrt((LIMIT - 1) // unit)
-    t = (largest - 1) // kd
-    return 1 + kd * (t + (side == "past"))
+    return 1 + kd * ((largest - 1) // kd + (side == "past"))
 
 
 @st.composite
@@ -140,13 +136,14 @@ TIE_2D = ([(1, 0, 2), (0, 2, 0), (0, 2, 0)], [(1, 1)], 2, 1, 1, 0, "centroid", 3
 @example(([(0, 7), (1, 7)], [(7,)], 1, 1, 1, 0, "majority", None, "past"))
 def test_front_end_votes_equal_the_reference(case):
     train_rows, test_inputs, width, k, d, seed, learner, n_classes, side = case
-    _, models = _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
     if side != "small":
-        s = _scale_to_bound(learner, train_rows, test_inputs, width, k * d, models, side)
+        _, models = _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
+        guards = _int64_guards(learner, train_rows, test_inputs, width, models)
+        s = _scale_to_bound(guards, k * d, side)
         train_rows = [(row[0], *(v * s for v in row[1:])) for row in train_rows]
         test_inputs = [tuple(v * s for v in x) for x in test_inputs]
     want, models = _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
-    fits = _fits_int64(learner, train_rows, test_inputs, width, models)
+    fits = all(v < LIMIT for v, _ in _int64_guards(learner, train_rows, test_inputs, width, models))
     if side == "below":
         assert fits
     if side == "past" and any(v for row in train_rows for v in row[1:]):

@@ -567,7 +567,7 @@ def test_streamed_training_csv_fails_like_the_reference(
     assert err == json.dumps(want) + "\n"
 
 
-def test_streamed_training_csv_may_be_a_directory(tmp_path, test_file, capsys):
+def test_training_csv_that_is_a_directory_is_unreadable(tmp_path, test_file, capsys):
     assert _run("certify", "--dataset", tmp_path, "--test", test_file) == 2
     message = f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
     assert json.loads(capsys.readouterr().err)["message"] == message
