@@ -127,10 +127,10 @@ def centroid_votes(
     """Votes ``[t][i]`` of the nearest-centroid models on every test input.
 
     The squared distance of ``x`` to class c's centroid ``s_c / n_c`` is
-    ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``; a tournament over the
-    classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``, skipping
-    absent classes, so ties stay with the smaller index and a model without
-    samples votes 0. Returns None when some product could reach 2^63,
+    ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``. A tournament over the
+    classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``
+    and skips absent classes, so ties stay with the smaller index and a
+    model without samples votes 0. Returns None when some product could reach 2^63,
     judged by ``(max n * max(x, s))^2 * F * (max n)^2``, or when the test
     inputs' width differs from the training features'.
     """
@@ -145,7 +145,6 @@ def centroid_votes(
     if (max_n * max_value) ** 2 * feature_dim * max_n**2 >= INT64_LIMIT:
         return None
     test = np.array(test_inputs, dtype=np.int64)
-    present = counts > 0
     den = counts * counts
     sq_sums = np.einsum("icf,icf->ic", sums, sums)
     votes = np.empty((len(test), kd), np.int64)
@@ -162,10 +161,10 @@ def centroid_votes(
             num *= -2 * n_c
             num += den_c * xx
             num += sq_sums[:, c : c + 1]
-            win = present[:, c : c + 1] & (~have | (num * best_den < best_num * den_c))
+            win = (n_c > 0) & (~have | (num * best_den < best_num * den_c))
             best = np.where(win, c, best)
             best_num = np.where(win, num, best_num)
             best_den = np.where(win, den_c, best_den)
-            have = have | present[:, c : c + 1]
+            have = have | (n_c > 0)
         votes[start : start + x.shape[1]] = best.T
     return votes.tolist()
