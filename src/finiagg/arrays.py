@@ -59,7 +59,6 @@ class Statistics:
 
     counts: np.ndarray
     sums: np.ndarray | None
-    n_rows: int
     max_label: int  # -1 without rows
 
 
@@ -101,7 +100,7 @@ def partition_statistics(
         counts += np.bincount(key, minlength=counts.size).reshape(counts.shape)
         if sums is not None:
             np.add.at(sums.reshape(-1, feature_dim), key, features)
-    return Statistics(counts, sums, n_rows, max_label)
+    return Statistics(counts, sums, max_label)
 
 
 def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Statistics:
@@ -111,14 +110,8 @@ def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Sta
     return Statistics(
         circulant_sum(partitions.counts, shifts, np.int64),
         None if sums is None else circulant_sum(sums, shifts, np.int64),
-        partitions.n_rows,
         partitions.max_label,
     )
-
-
-def majority_votes(classifiers: Statistics) -> list[int]:
-    """Each majority-label model's vote; ties and empty models go to the smaller index."""
-    return classifiers.counts.argmax(axis=1).tolist()
 
 
 def centroid_votes(
@@ -136,7 +129,7 @@ def centroid_votes(
     """
     counts, sums = classifiers.counts, classifiers.sums
     kd, n_classes, feature_dim = sums.shape
-    if classifiers.n_rows == 0 or not test_inputs:
+    if not counts.any() or not test_inputs:
         return [[0] * kd for _ in test_inputs]
     if any(len(x) != feature_dim for x in test_inputs):
         return None

@@ -308,13 +308,7 @@ def _certify_rows(matrix: VoteMatrix) -> list[SampleCertificate]:
     certs = []
     for t, votes in enumerate(matrix.votes):
         row = np.array(votes, dtype=vote_dtype)
-        if row.max() < kd:
-            # bincount holds max + 1 counters, at most kd here; np.unique sorts the row
-            counts = np.bincount(row)
-            classes = np.flatnonzero(counts)
-            counts = counts[classes]
-        else:
-            classes, counts = np.unique(row, return_counts=True)
+        classes, counts = np.unique(row, return_counts=True)
         c = int(classes[counts.argmax()])
         label = labels[t] if labels is not None else None
         if label is not None and c != label:

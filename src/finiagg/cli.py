@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -76,7 +75,11 @@ class _Parser(argparse.ArgumentParser):
 def read_dataset_csv(
     path: str | Path, n_classes: int | None = None
 ) -> Dataset:
-    rows, feature_dim, labeled = _read_csv(path)
+    return _dataset_from_csv(_read_text(path), path, n_classes)
+
+
+def _dataset_from_csv(text: str, path: str | Path, n_classes: int | None) -> Dataset:
+    rows, feature_dim, labeled = _parse_csv(text, path)
     if not labeled:
         raise DataError(f"{path}: training data needs a label column")
     return validate_dataset(rows, n_classes, feature_dim)
@@ -86,7 +89,7 @@ def read_test_csv(
     path: str | Path,
 ) -> tuple[list[tuple[int, ...]], list[int] | None]:
     """Read test inputs; returns (feature rows, labels or None)."""
-    rows, feature_dim, labeled = _read_csv(path)
+    rows, feature_dim, labeled = _parse_csv(_read_text(path), path)
     if labeled:
         features = [tuple(r[1:]) for r in rows]
         labels = [r[0] for r in rows]
@@ -102,12 +105,27 @@ def read_test_csv(
     return features, labels
 
 
-def _read_csv(path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+
+
+def _lines(text: str):
+    """Yield the lines of ``text`` split after each "\\n", as ``io.StringIO(text)`` would.
+
+    A ``StringIO`` would hold a copy of the text at four bytes a character.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_csv(text: str, path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
+    reader = csv.reader(_lines(text))
     try:
         feature_dim, labeled = _read_header(reader, path)
         return list(_int_rows(reader, path)), feature_dim, labeled
@@ -256,9 +274,11 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise UsageError(f"unknown learner {args.learner!r}")
     if kind == EXTERNAL_VOTES:
         raise UsageError("learner external-votes requires --votes")
-    matrix = _array_matrix(args, kind)
+    # read once: a pipe or FIFO given as --dataset cannot be read again by the reference
+    text = _read_text(args.dataset)
+    matrix = _array_matrix(args, kind, text)
     if matrix is None:
-        matrix = _reference_matrix(args, kind)
+        matrix = _reference_matrix(args, kind, text)
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix
@@ -283,41 +303,42 @@ def _test_set_and_layout(args, n_classes: int):
     return features, labels, config, offsets
 
 
-def _reference_matrix(args, kind: str) -> VoteMatrix:
-    """Train every model on its pooled partitions and evaluate it on every test input."""
-    dataset = read_dataset_csv(args.dataset, args.n_classes)
+def _reference_matrix(args, kind: str, text: str) -> VoteMatrix:
+    """Train every model on its pooled partitions and evaluate it on every test input.
+
+    ``text`` is the training CSV's content.
+    """
+    dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
     features, labels, config, offsets = _test_set_and_layout(args, dataset.n_classes)
     models = train_ensemble(dataset, config, LearnerSpec(kind), offsets)
     return collect_votes(models, features, config, offsets, labels)
 
 
-def _array_matrix(args, kind: str) -> VoteMatrix | None:
+def _array_matrix(args, kind: str, text: str) -> VoteMatrix | None:
     """``_reference_matrix`` from int64 partition statistics, streaming the training CSV.
 
-    Returns None, before raising anything, for any training CSV or
-    ``--k``/``--d`` that ``read_dataset_csv`` or the layout would reject, so
-    that the reference reports the first error in its own order. Also None
-    when the statistics or votes could leave int64, or the test inputs'
-    width differs from the training features'; the reference then votes in
-    Python integers or raises.
+    ``text`` is the training CSV's content. Returns None, before raising
+    anything, for any training CSV or ``--k``/``--d`` that the reference
+    would reject, so that the reference reports the first error in its own
+    order. Also None when the statistics or votes could leave int64, or the
+    test inputs' width differs from the training features'; the reference
+    then votes in Python integers or raises.
     """
     if args.k < 1 or args.d < 1:
         return None
     from . import arrays  # imports numpy, which `import finiagg.cli` must not
 
     n_classes = args.n_classes
+    reader = csv.reader(_lines(text))
     try:
-        # newlines translated as read_text translates them, so cells split alike
-        with open(args.dataset, encoding="utf-8") as file:
-            reader = csv.reader(file)
-            feature_dim, labeled = _read_header(reader, args.dataset)
-            if not labeled or feature_dim < 1:
-                return None
-            rows = _checked_rows(_int_rows(reader, args.dataset), n_classes, feature_dim)
-            stats = arrays.partition_statistics(
-                rows, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
-            )
-    except (OSError, UnicodeDecodeError, csv.Error, DataError):
+        feature_dim, labeled = _read_header(reader, args.dataset)
+        if not labeled or feature_dim < 1:
+            return None
+        rows = _checked_rows(_int_rows(reader, args.dataset), n_classes, feature_dim)
+        stats = arrays.partition_statistics(
+            rows, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
+        )
+    except (csv.Error, DataError):
         return None
     if stats is None:
         return None
@@ -328,7 +349,7 @@ def _array_matrix(args, kind: str) -> VoteMatrix | None:
     features, labels, config, offsets = _test_set_and_layout(args, n_classes)
     stats = arrays.classifier_statistics(stats, offsets)
     if kind == MAJORITY_LABEL:
-        votes = [arrays.majority_votes(stats)] * len(features)
+        votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
     else:
         votes = arrays.centroid_votes(stats, features)
         if votes is None:

@@ -666,3 +666,33 @@ def test_certify_counts_classes_beyond_kd_without_a_counter_per_class(tmp_path):
         cert["predicted"] = 7 if cert["predicted"] == big else cert["predicted"]
     assert wide_report == narrow_report
     assert [c["predicted"] for c in narrow_report["certificates"]] == [0, 7, 2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+def test_training_csv_in_a_pipe_is_read_once(tmp_path, test_file, learner, capsys):
+    # a cell past int64 sends the run to the reference, a bad row to the reference's error;
+    # either must see the whole pipe, which only the first reader gets
+    past = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n")
+    bad = TRAIN_CSV.replace("1,8,7\n", "1,8,x\n")
+    for content in (TRAIN_CSV, past, bad):
+        file = tmp_path / "train.csv"
+        file.write_text(content, encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.write(write_end, content.encode("utf-8"))  # fits in the pipe's buffer
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        results = []
+        try:
+            for dataset in (file, pipe):
+                out = tmp_path / "report.json"
+                argv = ["certify", "--dataset", dataset, "--test", test_file, "--k", 3,
+                        "--d", 2, "--learner", learner, "--out", out]
+                code = _run(*argv)
+                err = capsys.readouterr().err.replace(str(dataset), "<train>")
+                results.append((code, err, out.read_text() if code == 0 else None))
+                out.unlink(missing_ok=True)
+        finally:
+            os.close(read_end)
+        assert results[0] == results[1]
+        assert results[0][0] == (2 if content is bad else 0)
