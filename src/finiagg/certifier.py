@@ -230,14 +230,13 @@ def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
 
 
 def certify_matrix(
-    matrix: VoteMatrix, workers: int = 1, tables: Iterable[MarginTable] | None = None
+    matrix: VoteMatrix, tables: Iterable[MarginTable] | None = None
 ) -> list[SampleCertificate]:
     """Per-sample certificates for every row of a vote matrix.
 
     ``tables`` are the rows' margin tables when the caller already holds
     them, and the certificates come from the reference rules. Otherwise the
-    rows go through the array kernel, one row at a time. ``workers`` is
-    accepted and ignored: certification runs in the calling thread.
+    rows go through the array kernel, one row at a time.
     """
     if tables is None:
         return _certify_rows(matrix)
@@ -395,6 +394,12 @@ def certified_accuracy(
     of size ``min(budget, kd)``; larger scopes only weaken the certificate,
     so smaller Q never attain the minimum. Returns the minimum and the first
     Q (in lexicographic order) attaining it.
+
+    ``conditional_certified`` is the reference for each row. Since Q holds
+    exactly as many partitions as the adversary may touch, its top-|Q| sum
+    is the sum over Q. A mispredicted row is never certified and a row whose
+    fine radius reaches |Q| is certified under every Q; only the others are
+    scored per Q, from their per-challenger losses ``e_j`` and margins.
     """
     if labels is None or len(labels) != len(tables):
         raise MissingLabels("certified accuracy")
@@ -409,12 +414,35 @@ def certified_accuracy(
     if count > enumeration_cap:
         raise EnumerationTooLarge(kd, budget, count, enumeration_cap)
 
-    def score(q: tuple[int, ...]) -> int:
-        return sum(
-            1
-            for table, label in zip(tables, labels)
-            if conditional_certified(table, q, budget, label)
-        )
+    always = 0  # rows certified under every Q
+    scored = []  # (radius, per challenger: losses by partition and margin) of the rest
+    for table, label in zip(tables, labels):
+        radius = fa_radius(table, label)
+        if radius >= q_size:
+            always += 1
+        elif radius >= 0:
+            c = table.prediction
+            a_c = table.partition_counts[c]
+            losses = [
+                ([table.d + a_c[j] - a_q[j] for j in range(kd)], table.rhs(cp))
+                for cp, a_q in enumerate(table.partition_counts)
+                if cp != c
+            ]
+            scored.append((radius, losses))
+    # Sturdier rows first: a Q's count then reaches the best one sooner and stops.
+    scored.sort(key=lambda row: row[0], reverse=True)
 
-    best_hits, best_q = min((score(q), q) for q in combinations(range(kd), q_size))
+    best_hits, best_q = n + 1, ()
+    for q in combinations(range(kd), q_size):
+        hits = always
+        for _, losses in scored:
+            for e, rhs in losses:
+                if sum(map(e.__getitem__, q)) > rhs:
+                    break
+            else:
+                hits += 1
+                if hits >= best_hits:
+                    break  # this Q cannot replace the earlier one
+        if hits < best_hits:
+            best_hits, best_q = hits, q
     return Fraction(best_hits, n), best_q

@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
 )
 from .hashing import SpreadOffsets, generate_offsets
-from .infinite_aggregation import ia_radius, ia_votes
+from .infinite_aggregation import ia_radius, ia_vote_distributions
 from .learners import (
     EXTERNAL_VOTES,
     MAJORITY_LABEL,
@@ -518,10 +518,9 @@ def cmd_ia(args) -> int:
         raise UsageError(f"ia needs a trainable learner, got {args.learner!r}")
     dataset = read_dataset_csv(args.dataset, args.n_classes)
     features, labels = read_test_csv(args.test)
-    spec = LearnerSpec(kind)
+    dists = ia_vote_distributions(dataset, features, args.k, LearnerSpec(kind), args.limit)
     results = []
-    for idx, x in enumerate(features):
-        dist = ia_votes(dataset, x, args.k, spec, args.limit)
+    for idx, dist in enumerate(dists):
         label = labels[idx] if labels is not None else None
         results.append(
             {

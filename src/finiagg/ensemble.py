@@ -67,14 +67,12 @@ def train_ensemble(
     config: AggregationConfig,
     spec: LearnerSpec,
     offsets: SpreadOffsets | None = None,
-    workers: int = 1,
 ) -> list[TrainedModel]:
     """Train the ``kd`` base models from the ``kd`` partitions of the split hash.
 
     Model ``i`` trains on the union of the ``d`` partitions that
     ``spread_inverse(i, offsets)`` names, pooled in no particular order:
     both built-in learners reduce a subset to order-independent sums.
-    ``workers`` is accepted and ignored: training runs in the calling thread.
     """
     if offsets is None:
         offsets = generate_offsets(config.k, config.d, config.seed)
@@ -94,12 +92,8 @@ def collect_votes(
     config: AggregationConfig,
     offsets: SpreadOffsets,
     labels: Sequence[int] | None = None,
-    workers: int = 1,
 ) -> VoteMatrix:
-    """Evaluate every model on every test input.
-
-    ``workers`` is accepted and ignored: voting runs in the calling thread.
-    """
+    """Evaluate every model on every test input."""
     if len(models) != config.kd:
         raise DimensionMismatch(f"{len(models)} models for kd={config.kd}")
     rows = tuple(tuple(m.predict(x) for m in models) for x in test_inputs)

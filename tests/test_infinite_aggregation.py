@@ -5,13 +5,18 @@ import pytest
 
 from finiagg import (
     Dataset,
+    IAVoteDistribution,
     LabeledSample,
     LearnerSpec,
     ia_brute_force_check,
     ia_radius,
+    ia_vote_distributions,
     ia_votes,
+    predict,
+    train,
 )
-from finiagg.errors import InstanceTooLarge
+from finiagg.errors import DataError, InstanceTooLarge
+from finiagg.learners import argmax
 
 MAJORITY = LearnerSpec("majority-label")
 CENTROID = LearnerSpec("nearest-centroid")
@@ -185,3 +190,56 @@ def test_brute_force_check_detects_fragile_predictions():
     ds = _dataset([(([3]), 1)], 2)
     pool = [LabeledSample((3,), 1)]
     assert not ia_brute_force_check(ds, (3,), 2, MAJORITY, 1, pool)
+
+
+# ---------------------------------------------------------------------------
+# ia_vote_distributions against the per-probe definition: one model per
+# subset mask and probe, its vote added to exact weights as it comes
+
+
+def _per_probe_distribution(dataset, features, k, spec):
+    n = len(dataset.samples)
+    n_classes = dataset.n_classes
+    p = Fraction(1, k)
+    q = 1 - p
+    weight_by_size = [p**s * q ** (n - s) for s in range(n + 1)]
+    per_class = [Fraction(0)] * n_classes
+    conditional = [[Fraction(0)] * n_classes for _ in range(n)]
+    for mask in range(1 << n):
+        chosen = [dataset.samples[i] for i in range(n) if mask >> i & 1]
+        voted = predict(train(spec, chosen, n_classes), features)
+        per_class[voted] += weight_by_size[len(chosen)]
+        for i in range(n):
+            if mask >> i & 1:
+                conditional[i][voted] += weight_by_size[len(chosen)] * k
+    return IAVoteDistribution(
+        per_class=tuple(per_class),
+        conditional=tuple(tuple(row) for row in conditional),
+        k=k,
+        n_samples=n,
+        prediction=argmax(per_class),
+    )
+
+
+@pytest.mark.parametrize("spec", [MAJORITY, CENTROID], ids=["majority", "centroid"])
+def test_batched_distributions_match_the_per_probe_definition(spec):
+    rng = random.Random(11)
+    for trial in range(40):
+        n_classes = rng.randint(1, 4)
+        dim = rng.randint(1, 3)
+        pool = [(tuple(rng.randint(0, 6) for _ in range(dim)), rng.randrange(n_classes)) for _ in range(4)]
+        # drawn from a small pool, so samples repeat; trial 0 has none at all
+        pairs = [rng.choice(pool) for _ in range(0 if trial == 0 else rng.randint(1, 8))]
+        dataset = Dataset(tuple(LabeledSample(f, lab) for f, lab in pairs), n_classes, dim)
+        probes = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        k = rng.randint(1, 5)
+        expected = tuple(_per_probe_distribution(dataset, x, k, spec) for x in probes)
+        assert ia_vote_distributions(dataset, probes, k, spec) == expected
+        assert ia_votes(dataset, probes[0], k, spec) == expected[0]
+    assert ia_vote_distributions(dataset, [], 2, spec) == ()
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_nonpositive_k_is_a_data_error(k):
+    with pytest.raises(DataError, match=f"k must be positive, got {k}"):
+        ia_votes(_dataset([((1,), 0)], 2), (1,), k, MAJORITY)

@@ -1,8 +1,13 @@
-from itertools import product
+import random
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finiagg import (
+    branch_and_bound_radius,
     conditional_certified,
     conditional_exact_check,
     dpa_radius,
@@ -13,7 +18,7 @@ from finiagg import (
 )
 from finiagg.errors import InstanceTooLarge
 from finiagg.hashing import SpreadOffsets
-from finiagg.oracle import RowVerification, VerificationReport
+from finiagg.oracle import RowVerification, VerificationReport, _gains_past, _partition_masks
 
 from conftest import random_offsets, random_row
 
@@ -134,6 +139,148 @@ def test_verification_report_flags_unsound_rows():
 def test_parallel_verification_matches_sequential(rng):
     rows = [random_row(rng, 6, 3) for _ in range(20)]
     offsets = SpreadOffsets((0, 2), 6)
-    assert verify_certificates(rows, offsets, 3, workers=1) == verify_certificates(
-        rows, offsets, 3, workers=4
+    assert verify_certificates(rows, offsets, 3) == verify_certificates(rows, offsets, 3)
+
+
+# ---------------------------------------------------------------------------
+# branch_and_bound_radius, the search verify_certificates runs, against the
+# exhaustive reference exact_poison_radius
+
+
+def test_branch_and_bound_matches_reference_on_every_small_row():
+    """Every row over 2-3 classes for kd <= 6, under every offset set, with and without labels."""
+    for kd in range(1, 7):
+        for d in (d for d in range(1, kd + 1) if kd % d == 0):
+            for offsets in combinations(range(kd), d):
+                spread_offsets = SpreadOffsets(offsets, kd)
+                for n_classes in (2, 3):
+                    for row in product(range(n_classes), repeat=kd):
+                        for label in (None, *range(n_classes)):
+                            assert branch_and_bound_radius(
+                                row, spread_offsets, n_classes, label
+                            ) == exact_poison_radius(row, spread_offsets, n_classes, label), (
+                                row, offsets, label
+                            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kd_d=st.sampled_from([(kd, d) for kd in range(1, 17) for d in range(1, kd + 1) if kd % d == 0]),
+    n_classes=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    labelled=st.booleans(),
+)
+def test_branch_and_bound_matches_reference_on_random_rows(kd_d, n_classes, seed, labelled):
+    kd, d = kd_d
+    rng = random.Random(seed)
+    offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
+    # a favourite class with a random share, so radii range from 0 to kd / 2
+    favourite, share = rng.randrange(n_classes), rng.random()
+    row = tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
+    label = rng.randrange(n_classes) if labelled else None
+    assert branch_and_bound_radius(row, offsets, n_classes, label) == exact_poison_radius(
+        row, offsets, n_classes, label
+    )
+
+
+# kd=24 rows from the benchmark's audit generator (seed 0): k=12, d=2, offsets {11, 21}
+AUDIT_OFFSETS = SpreadOffsets((11, 21), 24)
+AUDIT_ROWS = [
+    ("110111111111121111111110", 1, 4),
+    ("120111111111121101111211", 1, 4),
+    ("000000000000002000010000", 0, 5),
+    ("122222222222202222222222", 2, 5),
+    ("000000000000000000000000", 0, 6),
+]
+
+
+@pytest.mark.parametrize("row, label, radius", AUDIT_ROWS)
+def test_branch_and_bound_matches_reference_on_audit_rows(row, label, radius):
+    row = tuple(map(int, row))
+    for n_classes, lab in ((3, label), (3, None), (5, label)):
+        assert exact_poison_radius(row, AUDIT_OFFSETS, n_classes, lab, limit=24) == radius
+        assert branch_and_bound_radius(row, AUDIT_OFFSETS, n_classes, lab, limit=24) == radius
+
+
+def test_branch_and_bound_keeps_the_limit_and_the_absent_class():
+    with pytest.raises(InstanceTooLarge):
+        branch_and_bound_radius((0,) * 20, SpreadOffsets((0,), 20), 2)
+    assert branch_and_bound_radius((0,) * 20, SpreadOffsets((0,), 20), 2, limit=20) == 10
+    # only classes without votes challenge; on (1, 1, 1, 1) two poisons reach a 2-2 tie, which class 0 wins
+    for row, n_classes, radius in (((1, 1, 1, 1), 2, 1), ((0, 0, 0, 0), 2, 2), ((2,) * 4, 5, 1)):
+        offsets = SpreadOffsets((0,), 4)
+        assert exact_poison_radius(row, offsets, n_classes) == radius
+        assert branch_and_bound_radius(row, offsets, n_classes) == radius
+
+
+def test_pruned_search_matches_brute_force_at_every_threshold(rng):
+    # On rows whose certificate is tight the first window already decides every
+    # size, so the search below it is checked here, at thresholds of every height.
+    for _ in range(300):
+        kd = rng.randint(1, 9)
+        d = rng.choice([d for d in range(1, kd + 1) if kd % d == 0])
+        part_masks = _partition_masks(random_offsets(rng, kd // d, d))
+        p_mask, w_mask = (rng.getrandbits(kd) for _ in range(2))
+        w_mask &= ~p_mask
+
+        def gain(a):
+            return a.bit_count() + (a & p_mask).bit_count() - (a & w_mask).bit_count()
+
+        masks = sorted(part_masks, key=gain, reverse=True)
+        prefix = [0]
+        for mask in masks:
+            prefix.append(prefix[-1] + gain(mask))
+        for m in range(kd + 1):
+            best = max(gain(reduce(or_, subset, 0)) for subset in combinations(masks, m))
+            for threshold in range(2 * kd + 1):
+                assert _gains_past(m, threshold, gain, masks, prefix) == (best > threshold)
+
+
+# Offsets whose differences cover every nonzero residue mod kd make every two
+# partitions share a classifier. The certificate adds the losses of the touched
+# partitions as if they were disjoint, so there it can sit below the exact radius.
+COVERING_OFFSETS = SpreadOffsets((0, 1, 2, 3, 7, 15), 24)
+
+
+def test_certificate_is_loose_when_every_two_partitions_share_a_classifier():
+    kd = COVERING_OFFSETS.kd
+    assert {(a - b) % kd for a in COVERING_OFFSETS.offsets for b in COVERING_OFFSETS.offsets} == set(range(kd))
+    # class 1 holds all 24 votes and loses a tie to class 0: two poisons would have to
+    # turn 12 votes, but two partitions reach at most 2d - 1 = 11 classifiers
+    row = (1,) * kd
+    assert fa_radius(margin_table(row, COVERING_OFFSETS, 2)) == 1
+    assert exact_poison_radius(row, COVERING_OFFSETS, 2, limit=kd) == 2
+    assert branch_and_bound_radius(row, COVERING_OFFSETS, 2, limit=kd) == 2
+
+
+@pytest.mark.parametrize(
+    "offsets, n_classes, row",
+    [
+        ((0, 2, 3, 18), 3, "000001021000100000020020"),
+        ((0, 10, 11), 4, "120111231120110031111113211210"),
+        ((0, 1, 11, 19), 4, "32133233233332233123333331333313"),
+    ],
+)
+def test_certificate_is_loose_on_random_rows_at_kd_24_to_32(offsets, n_classes, row):
+    # majority-biased rows, found by a search with the branch-and-bound oracle
+    row = tuple(map(int, row))
+    spread_offsets = SpreadOffsets(offsets, len(row))
+    assert fa_radius(margin_table(row, spread_offsets, n_classes)) == 1
+    assert exact_poison_radius(row, spread_offsets, n_classes, limit=len(row)) == 2
+    assert branch_and_bound_radius(row, spread_offsets, n_classes, limit=len(row)) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4), others=st.integers(0, 4))
+def test_branch_and_bound_matches_reference_where_the_certificate_is_loose(seed, n_classes, others):
+    # near-unanimous rows under covering offsets, where the search below the
+    # first window decides the radius
+    rng = random.Random(seed)
+    kd = COVERING_OFFSETS.kd
+    row = [rng.randrange(n_classes)] * kd
+    for i in rng.sample(range(kd), others):
+        row[i] = rng.randrange(n_classes)
+    row = tuple(row)
+    assert branch_and_bound_radius(row, COVERING_OFFSETS, n_classes, limit=kd) == exact_poison_radius(
+        row, COVERING_OFFSETS, n_classes, limit=kd
     )
