@@ -19,10 +19,10 @@ The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
 
 ``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius`` is the
-readable reference. ``certify_matrix`` certifies rows without tables through
-an array kernel that gives the same certificates: every ``e_j`` is an
-integer in ``[0, 2d]``, so the top-m sums follow from a ``2d + 1``-bin
-histogram of the losses instead of a sort.
+readable reference. ``certify_matrix``, the array kernel every report's
+certificates come from, gives the same certificates without tables: every
+``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
+``2d + 1``-bin histogram of the losses instead of a sort.
 """
 
 from __future__ import annotations
@@ -229,32 +229,6 @@ def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
     return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
-def certify_matrix(
-    matrix: VoteMatrix, tables: Iterable[MarginTable] | None = None
-) -> list[SampleCertificate]:
-    """Per-sample certificates for every row of a vote matrix.
-
-    ``tables`` are the rows' margin tables when the caller already holds
-    them, and the certificates come from the reference rules. Otherwise the
-    rows go through the array kernel, one row at a time.
-    """
-    if tables is None:
-        return _certify_rows(matrix)
-    labels = matrix.labels
-    certs = []
-    for t, table in enumerate(tables):
-        label = labels[t] if labels is not None else None
-        certs.append(
-            SampleCertificate(
-                predicted=table.prediction,
-                correct=(table.prediction == label) if label is not None else None,
-                dpa_radius=dpa_baseline_radius(table, label),
-                fa_radius=fa_radius(table, label),
-            )
-        )
-    return certs
-
-
 def _int_dtype(bound: int, what: str):
     """Smallest signed NumPy integer type that holds every value in ``[0, bound]``."""
     import numpy as np
@@ -281,11 +255,13 @@ def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
     return m + hist[0]  # zero losses never exhaust the margin
 
 
-def _certify_rows(matrix: VoteMatrix) -> list[SampleCertificate]:
-    """``certify_matrix`` without margin tables: exact integer NumPy, row by row.
+def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
+    """Per-sample certificates for every row of a vote matrix, in exact integer NumPy.
 
-    Per row: the counts of the classes with votes, the prediction by
-    ``argmax`` over them in class order (first maximum, so ties go to the
+    Every report's certificates come from here; ``fa_radius`` and
+    ``dpa_baseline_radius`` over ``margin_tables`` are the reference this is
+    checked against. Per row: the counts of the classes with votes, the
+    prediction by ``argmax`` over them in class order (first maximum, so ties go to the
     smaller index), the per-partition counts ``a`` of a class by a circulant
     sum of its one-hot over the offsets, and per challenger a histogram of
     the losses ``e = d + a[c] - a[q]``. Classes without votes share
@@ -293,7 +269,7 @@ def _certify_rows(matrix: VoteMatrix) -> list[SampleCertificate]:
     for them all. Each dtype is sized from the bound its values obey, so no
     valid input wraps around.
     """
-    import numpy as np  # imported here: commands that never certify without tables skip its cost
+    import numpy as np  # imported here: commands that never certify skip its cost
 
     from .arrays import circulant_sum
 
@@ -369,14 +345,9 @@ def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusSta
     return RadiusStats(Fraction(len(gains), n), mean_gain)
 
 
-def build_report(
-    matrix: VoteMatrix, max_attack_size: int, tables: Sequence[MarginTable] | None = None
-) -> CertificateReport:
-    """Certificates, curve up to ``max_attack_size`` and radius statistics.
-
-    ``tables``, when given, are the matrix's margin tables; see ``certify_matrix``.
-    """
-    certs = certify_matrix(matrix, tables=tables)
+def build_report(matrix: VoteMatrix, max_attack_size: int) -> CertificateReport:
+    """Certificates, curve up to ``max_attack_size`` and radius statistics."""
+    certs = certify_matrix(matrix)
     curve = certified_fraction_curve([c.fa_radius for c in certs], max_attack_size)
     stats = radius_stats([c.fa_radius for c in certs], [c.dpa_radius for c in certs])
     return CertificateReport(tuple(certs), curve, stats)

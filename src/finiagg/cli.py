@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .certifier import MarginTable, build_report, certified_accuracy, margin_tables
+from .certifier import MarginTable, build_report, certified_accuracy, fa_radius, margin_tables
 from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
 from .ensemble import VoteMatrix, collect_votes, ensemble_stats, train_ensemble
 from .errors import (
@@ -395,9 +395,9 @@ def _delta_block(tables: Sequence[MarginTable]) -> list[dict]:
 def cmd_certify(args) -> int:
     matrix = _matrix_from_args(args)
     max_attack = args.max_attack_size if args.max_attack_size is not None else matrix.config.kd
-    # without --verbose each row's table is dropped once certified
-    tables = margin_tables(matrix) if args.verbose else None
-    report = build_report(matrix, max_attack, tables)
+    # tables before the kernel: a class count they cannot hold gets the margin table's LimitError
+    deltas = _delta_block(margin_tables(matrix)) if args.verbose else None
+    report = build_report(matrix, max_attack)
     obj: dict = {
         "command": "certify",
         "k": matrix.config.k,
@@ -427,8 +427,8 @@ def cmd_certify(args) -> int:
         {"attack_size": m, "certified_fraction": _frac(f)}
         for m, f in enumerate(report.curve)
     ]
-    if tables is not None:
-        obj["delta_multisets"] = _delta_block(tables)
+    if deltas is not None:
+        obj["delta_multisets"] = deltas
     _write_json(args.out, obj)
     if args.curve:
         _write_text(args.curve, curve_csv(report.curve))
@@ -463,7 +463,8 @@ def cmd_cert_acc(args) -> int:
         raise MissingLabels("certified accuracy")
     tables = margin_tables(matrix)
     accuracy, argmin_q = certified_accuracy(tables, matrix.labels, args.budget, args.enumeration_cap)
-    fraction = build_report(matrix, args.budget, tables).curve[args.budget]
+    certified = sum(fa_radius(t, label) >= args.budget for t, label in zip(tables, matrix.labels))
+    fraction = Fraction(certified, len(tables))
     _write_json(
         args.out,
         {

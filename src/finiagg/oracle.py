@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .certifier import dpa_radius, fa_radius, margin_table
+from .certifier import dpa_baseline_radius, fa_radius, margin_table
 from .ensemble import aggregate_prediction
 from .errors import InstanceTooLarge
 from .hashing import SpreadOffsets, spread
@@ -261,7 +261,7 @@ def verify_certificates(
         table = margin_table(row, offsets, n_classes)
         fa = fa_radius(table, label)
         exact = branch_and_bound_radius(row, offsets, n_classes, label, limit)
-        dpa = dpa_radius(row, n_classes, label) if offsets.d == 1 else None
+        dpa = dpa_baseline_radius(table, label) if offsets.d == 1 else None
         verified.append(
             RowVerification(
                 index=t,

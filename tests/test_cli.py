@@ -389,8 +389,59 @@ def test_certifying_without_tables_tabulates_nothing(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "command, per_row",
+    [(["oracle-check", "--d", "1"], 1), (["oracle-check", "--d", "2"], 1), (["cert-acc", "--d", "2"], 1),
+     (["certify", "--verbose", "--d", "2"], 1), (["certify", "--d", "2"], 0), (["curve", "--d", "1"], 0),
+     (["compare", "--d", "2"], 0)],
+)
+def test_margin_tables_serve_only_deltas_and_audits(
+    tmp_path, train_file, test_file, command, per_row, monkeypatch
+):
+    from finiagg import certifier, oracle
+
+    calls = []
+    original = certifier.margin_table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "margin_table", counting)
+    monkeypatch.setattr(oracle, "margin_table", counting)
+    assert _run(
+        *command, "--dataset", train_file, "--test", test_file, "--k", 3, "--out", tmp_path / "out",
+    ) == 0
+    assert len(calls) == per_row * (len(TEST_CSV.splitlines()) - 1)
+
+
+def test_verbose_report_is_the_plain_report_plus_deltas(tmp_path, train_file, test_file):
+    labelled = tmp_path / "votes.json"
+    labelled.write_text(json.dumps({"k": 3, "d": 2, "offsets": [1, 4], "n_classes": 7,
+                                    "labels": [0, 0, 2], "votes": WIDE_ROWS}), encoding="utf-8")
+    inputs = [["--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2],
+              ["--dataset", train_file, "--test", test_file, "--k", 4, "--max-attack-size", 9],
+              ["--votes", labelled, "--stats"]]
+    for argv in inputs:
+        plain, verbose = tmp_path / "plain.json", tmp_path / "verbose.json"
+        assert _run("certify", *argv, "--out", plain) == 0
+        assert _run("certify", *argv, "--verbose", "--out", verbose) == 0
+        head = plain.read_text(encoding="utf-8").removesuffix("\n}\n")
+        assert verbose.read_text(encoding="utf-8").startswith(head + ',\n  "delta_multisets": [\n')
+        assert list(json.loads(verbose.read_text())) == [*json.loads(plain.read_text()), "delta_multisets"]
+
+
+def test_cert_acc_budget_past_any_curve_is_certified_for_none(tmp_path, train_file, test_file):
+    out = tmp_path / "acc.json"
+    argv = ["cert-acc", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2]
+    assert _run(*argv, "--budget", 10**11, "--out", out) == 0
+    report = json.loads(out.read_text())
+    assert report["certified_fraction"] == {"exact": "0/1", "float": 0.0}
+    assert report["certified_accuracy"] == {"exact": "0/1", "float": 0.0}
+
+
 def test_wide_class_indices_certify_like_the_reference(tmp_path):
-    from finiagg.certifier import certify_matrix, margin_tables
+    from conftest import reference_certificates
 
     # votes above 2**16 need 32-bit class indices; narrower ones would wrap
     votes = tmp_path / "votes.json"
@@ -406,7 +457,7 @@ def test_wide_class_indices_certify_like_the_reference(tmp_path):
     report = tmp_path / "report.json"
     assert _run("certify", "--votes", votes, "--out", report) == 0
     matrix = votes_from_json(votes.read_text(encoding="utf-8"))
-    reference = certify_matrix(matrix, tables=margin_tables(matrix))
+    reference = reference_certificates(matrix)
     certs = json.loads(report.read_text())["certificates"]
     assert certs == [
         {"predicted": c.predicted, "correct": c.correct, "fa_radius": c.fa_radius,

@@ -14,13 +14,14 @@ from finiagg.certifier import (
     _scan_radius,
     certified_fraction_curve,
     certify_matrix,
-    margin_tables,
 )
 from finiagg.errors import DataError, LimitError
 
+from conftest import reference_certificates
+
 
 def _assert_matches_reference(matrix: VoteMatrix) -> None:
-    assert certify_matrix(matrix) == certify_matrix(matrix, tables=margin_tables(matrix))
+    assert certify_matrix(matrix) == reference_certificates(matrix)
 
 
 def test_kernel_matches_reference_on_every_small_row():
