@@ -69,10 +69,13 @@ def partition_statistics(
 
     A row goes to partition ``sum(features) mod kd``, the split hash. Returns
     None when a cell, a row sum or a partition sum may not fit in int64, or
-    the class axis cannot be allocated.
+    the arrays cannot be allocated.
     """
-    counts = np.zeros((kd, 1), np.int64)
-    sums = np.zeros((kd, 1, feature_dim), np.int64) if with_sums else None
+    try:
+        counts = np.zeros((kd, 1), np.int64)
+        sums = np.zeros((kd, 1, feature_dim), np.int64) if with_sums else None
+    except MemoryError:
+        return None
     n_rows, max_cell, max_label = 0, 0, -1
     rows = iter(rows)
     while block := list(islice(rows, _TRAIN_BLOCK)):

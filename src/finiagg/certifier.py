@@ -320,7 +320,10 @@ def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tupl
         raise EmptyTestSet()
     if max_attack_size < 0:
         raise DataError(f"attack size must be non-negative, got {max_attack_size}")
-    at_least = [0] * (max_attack_size + 1)
+    try:
+        at_least = [0] * (max_attack_size + 1)
+    except (MemoryError, OverflowError):
+        raise LimitError(f"a curve of {max_attack_size + 1} attack sizes does not fit in memory") from None
     for r in radii:
         if r >= 0:
             at_least[min(r, max_attack_size)] += 1

@@ -274,11 +274,24 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise UsageError(f"unknown learner {args.learner!r}")
     if kind == EXTERNAL_VOTES:
         raise UsageError("learner external-votes requires --votes")
-    # read once: a pipe or FIFO given as --dataset cannot be read again by the reference
+    # read each CSV once: a pipe or FIFO cannot be read again when the reference takes over
     text = _read_text(args.dataset)
-    matrix = _array_matrix(args, kind, text)
-    if matrix is None:
-        matrix = _reference_matrix(args, kind, text)
+    front = _front_end_statistics(args, kind, text)
+    dataset = None
+    if front is None:
+        dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
+        n_classes = dataset.n_classes
+    else:
+        stats, n_classes = front
+    features, labels, config, offsets = _test_set_and_layout(args, n_classes)
+    votes = None if front is None else _front_end_votes(kind, stats, offsets, features)
+    if votes is not None:
+        labels = tuple(labels) if labels is not None else None
+        matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
+    else:
+        if dataset is None:  # the statistics fit in int64 but the votes may not
+            dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
+        matrix = _reference_matrix(kind, dataset, features, labels, config, offsets)
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix
@@ -303,26 +316,19 @@ def _test_set_and_layout(args, n_classes: int):
     return features, labels, config, offsets
 
 
-def _reference_matrix(args, kind: str, text: str) -> VoteMatrix:
-    """Train every model on its pooled partitions and evaluate it on every test input.
-
-    ``text`` is the training CSV's content.
-    """
-    dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
-    features, labels, config, offsets = _test_set_and_layout(args, dataset.n_classes)
+def _reference_matrix(kind: str, dataset: Dataset, features, labels, config, offsets) -> VoteMatrix:
+    """Train every model on its pooled partitions and evaluate it on every test input."""
     models = train_ensemble(dataset, config, LearnerSpec(kind), offsets)
     return collect_votes(models, features, config, offsets, labels)
 
 
-def _array_matrix(args, kind: str, text: str) -> VoteMatrix | None:
-    """``_reference_matrix`` from int64 partition statistics, streaming the training CSV.
+def _front_end_statistics(args, kind: str, text: str):
+    """The training CSV's int64 partition statistics and class count, streamed from ``text``.
 
-    ``text`` is the training CSV's content. Returns None, before raising
-    anything, for any training CSV or ``--k``/``--d`` that the reference
-    would reject, so that the reference reports the first error in its own
-    order. Also None when the statistics or votes could leave int64, or the
-    test inputs' width differs from the training features'; the reference
-    then votes in Python integers or raises.
+    Returns None, before raising anything, for any training CSV or
+    ``--k``/``--d`` that the reference would reject, so that the reference
+    reports the first error in its own order; also None when the statistics
+    could leave int64 or cannot be allocated.
     """
     if args.k < 1 or args.d < 1:
         return None
@@ -346,16 +352,22 @@ def _array_matrix(args, kind: str, text: str) -> VoteMatrix | None:
         n_classes = stats.max_label + 1  # 0 without rows, which needs an explicit n_classes
     if n_classes < 1:
         return None
-    features, labels, config, offsets = _test_set_and_layout(args, n_classes)
+    return stats, n_classes
+
+
+def _front_end_votes(kind: str, stats, offsets: SpreadOffsets, features) -> list | None:
+    """The votes ``_reference_matrix`` would give, from the partition statistics.
+
+    None when the votes could leave int64, or the test inputs' width differs
+    from the training features'; the reference then votes in Python
+    integers or raises.
+    """
+    from . import arrays
+
     stats = arrays.classifier_statistics(stats, offsets)
     if kind == MAJORITY_LABEL:
-        votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
-    else:
-        votes = arrays.centroid_votes(stats, features)
-        if votes is None:
-            return None
-    labels = tuple(labels) if labels is not None else None
-    return VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
+        return [stats.counts.argmax(axis=1).tolist()] * len(features)
+    return arrays.centroid_votes(stats, features)
 
 
 def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:

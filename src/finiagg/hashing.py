@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .datamodel import AggregationConfig, Dataset, LabeledSample
-from .errors import DataError, DTooLarge, UsageError
+from .errors import DataError, DTooLarge, LimitError, UsageError
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_INC = 0x9E3779B97F4A7C15
@@ -95,12 +95,17 @@ def generate_offsets(
         raise UsageError(f"spread degree must be positive, got d={d}")
     if d > kd:
         raise DTooLarge(d, kd)
+    if dpa_compatible and d != 1:
+        raise UsageError(f"dpa-compatible mode requires d=1, got d={d}")
+    # made for {0} too: a kd the pool cannot hold is refused here, before a
+    # run builds its kd partitions and models one by one
+    try:
+        pool = list(range(kd))
+    except MemoryError:
+        raise LimitError(f"the {kd} partitions do not fit in memory") from None
     if dpa_compatible:
-        if d != 1:
-            raise UsageError(f"dpa-compatible mode requires d=1, got d={d}")
         return SpreadOffsets((0,), kd)
     rng = _XorShift64Star(seed)
-    pool = list(range(kd))
     for t in range(d):
         swap = t + rng.below(kd - t)
         pool[t], pool[swap] = pool[swap], pool[t]

@@ -129,6 +129,10 @@ def ia_radius(dist: IAVoteDistribution) -> int:
     merges the descending finite costs with unlimited bulk copies. The
     margin must exceed the cost strictly when c' < c, because a restored
     tie would already flip the prediction toward the smaller index.
+
+    The finite costs at least as large as the bulk value are taken one by
+    one; every later step costs the bulk value, so how many of them fit is
+    one floor division of the margin left.
     """
     c = dist.prediction
     k = dist.k
@@ -142,19 +146,16 @@ def ia_radius(dist: IAVoteDistribution) -> int:
             (1 + cond[c] - cond[cp] for cond in dist.conditional), reverse=True
         )
         strict = cp < c
-        total = Fraction(0)
-        ptr = 0
+        room = gap * k  # the margin in units of 1/k, less the costs taken
         m = 0
-        while m < k:
-            if ptr < len(finite) and finite[ptr] >= bulk:
-                total += finite[ptr]
-                ptr += 1
-            else:
-                total += bulk
-            cost = total / k
-            if cost > gap or (strict and cost == gap):
+        for cost in [f for f in finite if f >= bulk][:k]:
+            room -= cost
+            if room < 0 or (strict and room == 0):
                 break
             m += 1
+        else:
+            steps, rest = divmod(room, bulk)
+            m = min(k, m + max(0, steps - (strict and rest == 0)))
         radius = min(radius, m)
     return radius
 

@@ -749,6 +749,57 @@ def test_training_csv_in_a_pipe_is_read_once(tmp_path, test_file, learner, capsy
         assert results[0][0] == (2 if content is bad else 0)
 
 
+# 10**11 entries are refused by the allocator at once; a size it would grant is never tried
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--dataset", "{train}", "--test", "{test}", "--k", "100000000000"],
+     ["certify", "--dataset", "{train}", "--test", "{test}", "--k", "100000000000", "--learner", "majority"],
+     ["curve", "--votes", "{votes}", "--max-attack-size", "100000000000"],
+     ["certify", "--votes", "{votes}", "--max-attack-size", "100000000000"]],
+)
+def test_sizes_that_cannot_be_allocated_exit_three(tmp_path, train_file, test_file, argv, capsys):
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps(VOTES), encoding="utf-8")
+    argv = [a.format(train=train_file, test=test_file, votes=votes) for a in argv]
+    assert _run(*argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "LimitError"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+def test_test_csv_in_a_pipe_is_read_once(tmp_path, learner, capsys):
+    # a test width unlike the training width, or a training cell whose centroid products
+    # may pass 2^63, hands the votes to the reference after the test CSV was read
+    big = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**40}\n")
+    for train_csv, test_csv in ((TRAIN_CSV, "f0\n2\n"), (big, UNLABELED_CSV), (TRAIN_CSV, TEST_CSV)):
+        train = tmp_path / "train.csv"
+        train.write_text(train_csv, encoding="utf-8")
+        file = tmp_path / "test.csv"
+        file.write_text(test_csv, encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.write(write_end, test_csv.encode("utf-8"))  # fits in the pipe's buffer
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        results = []
+        try:
+            for test in (file, pipe):
+                out = tmp_path / "report.json"
+                argv = ["certify", "--dataset", train, "--test", test, "--k", 3, "--d", 2,
+                        "--learner", learner, "--out", out]
+                code = _run(*argv)
+                err = capsys.readouterr().err.replace(str(test), "<test>")
+                results.append((code, err, out.read_text() if code == 0 else None))
+                out.unlink(missing_ok=True)
+        finally:
+            os.close(read_end)
+        assert results[0] == results[1]
+        narrow = test_csv.startswith("f0\n")
+        assert results[0][0] == (2 if narrow and learner == "centroid" else 0)
+
+
 @pytest.mark.parametrize("k", [0, -2])
 def test_ia_rejects_a_nonpositive_k(tmp_path, train_file, test_file, k, capsys):
     out = tmp_path / "ia.json"

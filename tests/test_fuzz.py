@@ -1,0 +1,264 @@
+"""Robustness fuzz: ``main`` on generated vote files, CSVs and argv, in process.
+
+Every run must return a documented exit code (4 only from ``oracle-check``).
+A failing run writes exactly one JSON line to stderr, naming that code; a
+successful one writes nothing there. No exception may escape ``main``.
+
+An example carries at most one defect, in one file or in the options, so
+that most runs get past the readers into training, voting and certifying.
+Sizes stay small: kd <= 64, at most 20 rows, budgets and attack sizes up to
+100, and the audit limits at or below their defaults. The only large sizes
+are class counts and labels from 2^40 up and the literal 10^11, which the
+allocator refuses at once; a size it would grant is never drawn.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from finiagg.cli import main
+
+BIG = 10**11
+HUGE = [2**40, 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70]
+FILES = ("train.csv", "test.csv", "votes.json", "out.json", "curve.csv", "saved.json")
+COMMANDS = ["certify", "curve", "compare", "cert-acc", "oracle-check", "ia"]
+
+
+def _check(argv, files: dict[str, bytes]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            (Path(tmp) / name).write_bytes(content)
+        argv = [str(Path(tmp) / a) if a in FILES else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    if code == 4:
+        assert argv[0] == "oracle-check"
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], argv
+    else:
+        assert len(lines) == 1, (argv, lines)
+        error = json.loads(lines[0])
+        assert error["exit_code"] == code
+        assert isinstance(error["error"], str) and isinstance(error["message"], str)
+
+
+BIG_INTS = [2**31, *HUGE]
+json_values = st.recursive(
+    st.one_of(
+        st.integers(-3, 12), st.sampled_from([*BIG_INTS, -(2**63) - 1]), st.booleans(), st.none(),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+# class counts are small or too large to allocate, never in between
+class_counts = st.one_of(st.integers(-1, 5), st.sampled_from(HUGE))
+
+
+@st.composite
+def kd_pairs(draw):
+    k = draw(st.integers(1, 16))
+    return k, draw(st.integers(1, min(4, 64 // k)))
+
+
+def _defect(draw, broken: bool, kinds: list[str]) -> str:
+    return draw(st.sampled_from(kinds)) if broken else "none"
+
+
+# --- vote files -------------------------------------------------------------
+
+
+@st.composite
+def vote_files(draw, broken: bool) -> bytes:
+    k, d = draw(kd_pairs())
+    kd = k * d
+    n_classes = draw(st.integers(1, 5))
+    if draw(st.integers(0, 5)) == 0:  # the kernel then counts classes no table or dtype may hold
+        n_classes = draw(st.sampled_from(HUGE))
+    classes = st.sampled_from(sorted({*range(min(n_classes, 3)), n_classes - 1}))
+    n_rows = draw(st.integers(0, 6))
+    favourite = draw(classes)
+    votes = st.sampled_from([True, True, False]).flatmap(lambda fav: st.just(favourite) if fav else classes)
+    obj = {
+        "k": k,
+        "d": d,
+        "offsets": draw(st.permutations(range(kd)))[:d],
+        "n_classes": n_classes,
+        "labels": draw(st.lists(votes, min_size=n_rows, max_size=n_rows)),
+        "votes": [draw(st.lists(votes, min_size=kd, max_size=kd)) for _ in range(n_rows)],
+    }
+    if draw(st.booleans()):
+        del obj["labels"]
+    defect = _defect(draw, broken, ["drop", "replace", "cell", "ragged", "cut", "bytes", "array"])
+    field = draw(st.sampled_from(sorted(obj)))
+    nested = isinstance(obj[field], list) and obj[field]
+    if defect == "drop":
+        del obj[field]
+    elif defect == "replace" or (defect in ("cell", "ragged") and not nested):
+        obj[field] = draw(json_values)
+    elif defect == "cell":  # a cell of a list, or of a vote row
+        target = obj[field]
+        i = draw(st.integers(0, len(target) - 1))
+        if isinstance(target[i], list) and target[i]:
+            target, i = target[i], draw(st.integers(0, len(target[i]) - 1))
+        target[i] = draw(json_values)
+    elif defect == "ragged":
+        obj[field] = obj[field][:-1]
+    text = json.dumps(obj).encode("utf-8")
+    if defect == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if defect == "bytes":
+        return text + b"\xff\xfe"
+    if defect == "array":
+        return json.dumps([obj]).encode("utf-8")
+    return text
+
+
+# --- CSVs -------------------------------------------------------------------
+
+bad_cells = st.sampled_from(["", "x", " 3", "1_0", "３", "1.5", '"2"', '"', "-1", "1e3"])
+
+
+@st.composite
+def csv_files(draw, labelled: bool, width: int, max_rows: int, broken: bool) -> bytes:
+    header = [f"f{i}" for i in range(width)]
+    if labelled:
+        header = ["label", *header]
+    cells = st.integers(0, 9).map(str)
+    if draw(st.integers(0, 3)) == 0:  # cells past int64 send a run to the reference
+        cells = st.one_of(cells, st.sampled_from(["-0", "+4", *map(str, BIG_INTS)]))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = [draw(cells) for _ in range(width)]
+        rows.append([str(draw(st.integers(0, 3))), *row] if labelled else row)
+    kinds = ["header", "ragged", "cell", "blank", "quote", "bytes", "crlf"]
+    defect = _defect(draw, broken, kinds + ["label"] * labelled)
+    at = draw(st.integers(0, len(rows))) - 1
+    if defect == "header":
+        header = draw(st.sampled_from([header[::-1], [*header, "g"], [], [f" {h}" for h in header]]))
+    elif defect == "ragged" and rows:
+        rows[at] = rows[at][: draw(st.integers(0, len(rows[at])))] + ["1"] * draw(st.integers(0, 1))
+    elif defect == "cell" and rows and rows[at]:
+        rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(bad_cells)
+    elif defect == "label" and rows:
+        rows[at][0] = draw(st.sampled_from(["4", "+1", str(2**40), str(2**70)]))
+    elif defect == "blank":
+        rows.insert(at + 1, [])
+    elif defect == "quote" and rows and rows[at]:
+        rows[at][0] = f'"{rows[at][0]}"'
+    text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    if defect == "crlf":
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8")
+    return data + b"\xff" if defect == "bytes" else data
+
+
+# --- options ----------------------------------------------------------------
+
+
+@st.composite
+def options(draw, command: str, broken: bool):
+    k, d = draw(kd_pairs())
+    learner = draw(st.sampled_from(["centroid", "majority", "nearest-centroid", "majority-label"]))
+    size = draw(st.integers(0, 100))
+    n_classes = None
+    limit = 16
+    dpa = d == 1 and draw(st.integers(0, 3)) == 0
+    defect = _defect(draw, broken, ["k", "d", "learner", "n-classes", "size", "dpa", "limit"])
+    if defect == "k":
+        k, dpa = draw(st.sampled_from([-1, 0, BIG])), False  # {0} offsets list no kd-sized pool
+    elif defect == "d":
+        d = draw(st.sampled_from([-1, 0]))
+    elif defect == "learner":
+        learner = draw(st.sampled_from(["external", "external-votes", "knn", ""]))
+    elif defect == "n-classes":
+        n_classes = draw(class_counts)
+    elif defect == "size":
+        size = draw(st.sampled_from([-1, BIG]))
+    elif defect == "dpa":
+        dpa = True
+    elif defect == "limit":
+        limit = draw(st.integers(0, 15))
+    opts = ["--k", str(k), "--learner", learner]
+    if n_classes is not None:
+        opts += ["--n-classes", str(n_classes)]
+    if command == "ia":
+        opts += ["--limit", str(min(limit, 8))]  # 2^|D| models
+    else:
+        opts += ["--d", str(d), "--seed", str(draw(st.one_of(st.integers(-2, 3), st.sampled_from(BIG_INTS))))]
+        opts += ["--dpa-compatible"] * dpa
+        if draw(st.booleans()):
+            opts += ["--save-votes", "saved.json"]
+    if command in ("certify", "curve") and (defect == "size" or draw(st.booleans())):
+        opts += ["--max-attack-size", str(size)]
+    if command == "certify":
+        opts += draw(st.lists(st.sampled_from(["--verbose", "--stats"]), unique=True))
+        if draw(st.booleans()):
+            opts += ["--curve", "curve.csv"]
+    if command == "cert-acc":
+        opts += ["--budget", str(size), "--enumeration-cap", str(draw(st.integers(1, 2000)))]
+    if command == "oracle-check":
+        opts += ["--oracle-limit", str(limit)]
+    if draw(st.booleans()):
+        opts += ["--out", "out.json"]
+    return opts
+
+
+# --- the runs ---------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vote_files_never_escape(data):
+    command = data.draw(st.sampled_from(COMMANDS[:-1]))
+    broken = data.draw(st.sampled_from(["none", "none", "votes", "options"]))
+    argv = [command, "--votes", "votes.json", *data.draw(options(command, broken == "options"))]
+    _check(argv, {"votes.json": data.draw(vote_files(broken == "votes"))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_files_never_escape(data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    broken = data.draw(st.sampled_from(["none", "none", "train", "test", "options"]))
+    width = data.draw(st.integers(1, 3))
+    test_width = width
+    if broken == "test" and data.draw(st.booleans()):
+        test_width = data.draw(st.sampled_from([0, width - 1, width + 1]))
+    max_rows = 8 if command == "ia" else 20  # 2^rows models, under ia's --limit
+    files = {
+        "train.csv": data.draw(csv_files(True, width, max_rows, broken == "train")),
+        "test.csv": data.draw(csv_files(data.draw(st.booleans()), test_width, 6, broken == "test")),
+    }
+    argv = [command, "--dataset", "train.csv", "--test", "test.csv"]
+    _check([*argv, *data.draw(options(command, broken == "options"))], files)
+
+
+tokens = st.one_of(
+    st.sampled_from(["--votes", "--dataset", "--test", "--k", "--d", "--seed", "--budget", "--verbose",
+                     "--n-classes", "--out", "--max-attack-size", "--learner", "--dpa-compatible",
+                     "--enumeration-cap", "--oracle-limit", "--limit", "--nope", "-x", "--"]),
+    st.sampled_from(FILES + ("missing.csv",)),
+    st.integers(-2, 8).map(str),  # so kd <= 64 and every limit stays at or below its default
+    st.sampled_from(["x", "1.5", "", "majority", str(2**70)]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from([*COMMANDS, "nope"]), argv=st.lists(tokens, max_size=8))
+def test_argv_never_escapes(command, argv):
+    files = {
+        "train.csv": b"label,f0,f1\n0,1,2\n1,5,6\n0,2,2\n",
+        "test.csv": b"label,f0,f1\n0,1,2\n1,5,5\n",
+        "votes.json": json.dumps(
+            {"k": 2, "d": 1, "offsets": [0], "n_classes": 2, "labels": [1], "votes": [[1, 1]]}
+        ).encode("utf-8"),
+    }
+    _check([command, *argv], files)

@@ -15,7 +15,7 @@ from finiagg import (
     validate_dataset,
 )
 from finiagg.datamodel import Dataset
-from finiagg.errors import DTooLarge, UsageError
+from finiagg.errors import DTooLarge, LimitError, UsageError
 from finiagg.hashing import SpreadOffsets
 
 
@@ -53,6 +53,16 @@ def test_generate_offsets_varies_with_seed():
 def test_generate_offsets_rejects_zero_partitions():
     with pytest.raises(DTooLarge):
         generate_offsets(0, 2, seed=0)
+
+
+def test_generate_offsets_refuses_a_kd_it_cannot_list():
+    # 10**11 entries are refused by the allocator at once; with {0} offsets the run would
+    # otherwise go on to build 10**11 partitions one by one
+    for dpa_compatible in (False, True):
+        with pytest.raises(LimitError):
+            generate_offsets(10**11, 1, seed=0, dpa_compatible=dpa_compatible)
+    with pytest.raises(UsageError):
+        generate_offsets(10**11, 2, seed=0, dpa_compatible=True)
 
 
 def test_spread_examples():

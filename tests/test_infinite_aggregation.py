@@ -157,6 +157,74 @@ def _selection_radius(dist):
     return radius
 
 
+def _stepwise_radius(dist):
+    # the merge one poison at a time: take the larger of the next finite cost
+    # and the bulk value until the cost passes the margin
+    c = dist.prediction
+    k = dist.k
+    radius = k
+    for cp in range(len(dist.per_class)):
+        if cp == c:
+            continue
+        gap = dist.per_class[c] - dist.per_class[cp]
+        bulk = 1 + gap
+        finite = sorted(
+            (1 + cond[c] - cond[cp] for cond in dist.conditional), reverse=True
+        )
+        total = Fraction(0)
+        ptr = 0
+        m = 0
+        while m < k:
+            if ptr < len(finite) and finite[ptr] >= bulk:
+                total += finite[ptr]
+                ptr += 1
+            else:
+                total += bulk
+            cost = total / k
+            if cost > gap or (cp < c and cost == gap):
+                break
+            m += 1
+        radius = min(radius, m)
+    return radius
+
+
+def _random_distribution(rng):
+    # small denominators, so margins are often hit exactly and classes tie
+    n_classes, n, k = rng.randint(2, 4), rng.randint(0, 5), rng.randint(1, 40)
+
+    def scores():
+        den = rng.choice([1, 2, 3, 4, 6, 12])
+        return tuple(Fraction(rng.randint(0, den), den) for _ in range(n_classes))
+
+    per_class = scores()
+    conditional = tuple(scores() for _ in range(n))
+    return IAVoteDistribution(per_class, conditional, k, n, argmax(per_class))
+
+
+def test_radius_closed_form_matches_the_stepwise_merge():
+    rng = random.Random(8)
+    for _ in range(3000):
+        dist = _random_distribution(rng)
+        assert ia_radius(dist) == _stepwise_radius(dist)
+    ds = _dataset([(([1]), 0), (([2]), 0), (([4]), 1)], 2)
+    for k in (2, 3, 7, 40):
+        dist = ia_votes(ds, (1,), k=k, spec=CENTROID)
+        assert ia_radius(dist) == _stepwise_radius(dist) == _selection_radius(dist)
+
+
+def test_radius_of_a_huge_k_takes_no_step_per_unit():
+    # a constant classifier certifies floor(k / 2); the scan would take 5 * 10**11 steps
+    ds = _dataset([(([1]), 0), (([2]), 0)], 2)
+    dist = ia_votes(ds, (9,), k=10**12, spec=MAJORITY)
+    assert ia_radius(dist) == 10**12 // 2
+    per_class = (Fraction(3, 4), Fraction(1, 4))
+    conditional = ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 2)))
+    dist = IAVoteDistribution(per_class, conditional, 10**12, 2, 0)
+    # removing the first sample costs 0 (< bulk 3/2), so only bulk copies count:
+    # floor((1/2) * 10**12 / (3/2)) = 333,333,333,333
+    assert ia_radius(dist) == 333_333_333_333
+
+
 def test_radius_merge_matches_exhaustive_selection(rng):
     for _ in range(25):
         ds = _random_dataset(rng, max_size=6)
