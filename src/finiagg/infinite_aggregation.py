@@ -136,7 +136,7 @@ def ia_radius(dist: IAVoteDistribution) -> int:
     """
     c = dist.prediction
     k = dist.k
-    radius = k  # cap; a real challenger always stops the scan below k
+    radius = k  # without a challenger; each step costs at least bulk, so fewer than k fit
     for cp in range(len(dist.per_class)):
         if cp == c:
             continue
@@ -148,14 +148,14 @@ def ia_radius(dist: IAVoteDistribution) -> int:
         strict = cp < c
         room = gap * k  # the margin in units of 1/k, less the costs taken
         m = 0
-        for cost in [f for f in finite if f >= bulk][:k]:
+        for cost in [f for f in finite if f >= bulk]:
             room -= cost
             if room < 0 or (strict and room == 0):
                 break
             m += 1
-        else:
+        else:  # room > 0 here when strict, since c wins ties only against larger indices
             steps, rest = divmod(room, bulk)
-            m = min(k, m + max(0, steps - (strict and rest == 0)))
+            m += steps - (strict and rest == 0)
         radius = min(radius, m)
     return radius
 

@@ -768,33 +768,38 @@ def test_sizes_that_cannot_be_allocated_exit_three(tmp_path, train_file, test_fi
     assert json.loads(err)["error"] == "LimitError"
 
 
+def _pipe(content: str) -> int:
+    read_end, write_end = os.pipe()
+    os.write(write_end, content.encode("utf-8"))  # fits in the pipe's buffer
+    os.close(write_end)
+    return read_end
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
-def test_test_csv_in_a_pipe_is_read_once(tmp_path, learner, capsys):
+def test_csvs_in_pipes_are_read_once_when_the_reference_votes(tmp_path, learner, capsys):
     # a test width unlike the training width, or a training cell whose centroid products
-    # may pass 2^63, hands the votes to the reference after the test CSV was read
+    # may pass 2^63, hands the votes to the reference after both CSVs were read
     big = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**40}\n")
     for train_csv, test_csv in ((TRAIN_CSV, "f0\n2\n"), (big, UNLABELED_CSV), (TRAIN_CSV, TEST_CSV)):
-        train = tmp_path / "train.csv"
-        train.write_text(train_csv, encoding="utf-8")
-        file = tmp_path / "test.csv"
-        file.write_text(test_csv, encoding="utf-8")
-        read_end, write_end = os.pipe()
-        os.write(write_end, test_csv.encode("utf-8"))  # fits in the pipe's buffer
-        os.close(write_end)
-        pipe = f"/dev/fd/{read_end}"
+        files = (tmp_path / "train.csv", tmp_path / "test.csv")
+        files[0].write_text(train_csv, encoding="utf-8")
+        files[1].write_text(test_csv, encoding="utf-8")
+        ends = (_pipe(train_csv), _pipe(test_csv))
+        pipes = tuple(f"/dev/fd/{end}" for end in ends)
         results = []
         try:
-            for test in (file, pipe):
+            for train, test in (files, pipes):
                 out = tmp_path / "report.json"
                 argv = ["certify", "--dataset", train, "--test", test, "--k", 3, "--d", 2,
                         "--learner", learner, "--out", out]
                 code = _run(*argv)
-                err = capsys.readouterr().err.replace(str(test), "<test>")
+                err = capsys.readouterr().err.replace(str(train), "<train>").replace(str(test), "<test>")
                 results.append((code, err, out.read_text() if code == 0 else None))
                 out.unlink(missing_ok=True)
         finally:
-            os.close(read_end)
+            for end in ends:
+                os.close(end)
         assert results[0] == results[1]
         narrow = test_csv.startswith("f0\n")
         assert results[0][0] == (2 if narrow and learner == "centroid" else 0)
