@@ -276,15 +276,22 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise UsageError("learner external-votes requires --votes")
     # read each CSV once: a pipe or FIFO cannot be read again when the reference takes over
     text = _read_text(args.dataset)
-    front = _front_end_statistics(args, kind, text)
+    stats, n_classes = _front_end_statistics(args, kind, text) or (None, None)
     dataset = None
-    if front is None:
+    if stats is None:
         dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
         n_classes = dataset.n_classes
-    else:
-        stats, n_classes = front
     features, labels, config, offsets = _test_set_and_layout(args, n_classes)
-    votes = None if front is None else _front_end_votes(kind, stats, offsets, features)
+    votes = None
+    if stats is not None:
+        from . import arrays
+
+        # rebound, so the partition statistics are freed before the models vote
+        stats = arrays.classifier_statistics(stats, offsets)
+        if kind == MAJORITY_LABEL:
+            votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
+        else:  # None when a product could reach 2^63 or the test width differs
+            votes = arrays.centroid_votes(stats, features)
     if votes is not None:
         labels = tuple(labels) if labels is not None else None
         matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
@@ -353,21 +360,6 @@ def _front_end_statistics(args, kind: str, text: str):
     if n_classes < 1:
         return None
     return stats, n_classes
-
-
-def _front_end_votes(kind: str, stats, offsets: SpreadOffsets, features) -> list | None:
-    """The votes ``_reference_matrix`` would give, from the partition statistics.
-
-    None when the votes could leave int64, or the test inputs' width differs
-    from the training features'; the reference then votes in Python
-    integers or raises.
-    """
-    from . import arrays
-
-    stats = arrays.classifier_statistics(stats, offsets)
-    if kind == MAJORITY_LABEL:
-        return [stats.counts.argmax(axis=1).tolist()] * len(features)
-    return arrays.centroid_votes(stats, features)
 
 
 def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:
