@@ -282,7 +282,7 @@ def _matrix_from_args(args) -> VoteMatrix:
         dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
         n_classes = dataset.n_classes
     features, labels, config, offsets = _test_set_and_layout(args, n_classes)
-    votes = None
+    matrix = None
     if stats is not None:
         from . import arrays
 
@@ -292,10 +292,11 @@ def _matrix_from_args(args) -> VoteMatrix:
             votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
         else:  # None when a product could reach 2^63 or the test width differs
             votes = arrays.centroid_votes(stats, features)
-    if votes is not None:
-        labels = tuple(labels) if labels is not None else None
-        matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
-    else:
+        if votes is not None:
+            labels = tuple(labels) if labels is not None else None
+            matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
+        del stats, votes  # freed before the matrix is written or certified
+    if matrix is None:
         if dataset is None:  # the statistics fit in int64 but the votes may not
             dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
         matrix = _reference_matrix(kind, dataset, features, labels, config, offsets)
