@@ -13,7 +13,7 @@ not ``n_classes``: a class without samples never wins. Every count, sum,
 distance and product is kept below 2^63; an input that could leave that
 range gets ``None``, and callers fall back to ``train_ensemble`` and
 ``collect_votes``, the readable reference these functions are checked
-against.
+against; a test width unlike the training width raises ``DimensionMismatch``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
@@ -127,15 +128,17 @@ def centroid_votes(
     classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``
     and skips absent classes, so ties stay with the smaller index and a
     model without samples votes 0. Returns None when some product could reach 2^63,
-    judged by ``(max n * max(x, s))^2 * F * (max n)^2``, or when the test
-    inputs' width differs from the training features'.
+    judged by ``(max n * max(x, s))^2 * F * (max n)^2``. A test input of
+    another width than the training features raises ``DimensionMismatch``,
+    as ``NearestCentroidModel.predict`` does, unless no model has samples.
     """
     counts, sums = classifiers.counts, classifiers.sums
     kd, n_classes, feature_dim = sums.shape
     if not counts.any() or not test_inputs:
         return [[0] * kd for _ in test_inputs]
-    if any(len(x) != feature_dim for x in test_inputs):
-        return None
+    for x in test_inputs:
+        if len(x) != feature_dim:
+            raise DimensionMismatch(f"expected {feature_dim} features, got {len(x)}")
     max_n = int(counts.max())
     max_value = max(int(sums.max()), max(map(max, test_inputs)))
     if (max_n * max_value) ** 2 * feature_dim * max_n**2 >= INT64_LIMIT:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .ensemble import VoteMatrix
+from .ensemble import EnsembleStats, VoteMatrix
 from .errors import (
     DataError,
     EmptyTestSet,
@@ -222,6 +222,7 @@ class CertificateReport:
     certificates: tuple[SampleCertificate, ...]
     curve: tuple[Fraction, ...]
     stats: RadiusStats
+    ensemble: EnsembleStats | None  # None without labels
 
 
 def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
@@ -349,11 +350,18 @@ def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusSta
 
 
 def build_report(matrix: VoteMatrix, max_attack_size: int) -> CertificateReport:
-    """Certificates, curve up to ``max_attack_size`` and radius statistics."""
+    """Certificates, curve up to ``max_attack_size``, and radius and accuracy statistics."""
     certs = certify_matrix(matrix)
     curve = certified_fraction_curve([c.fa_radius for c in certs], max_attack_size)
     stats = radius_stats([c.fa_radius for c in certs], [c.dpa_radius for c in certs])
-    return CertificateReport(tuple(certs), curve, stats)
+    ensemble = None
+    if matrix.labels is not None:  # the curve has raised EmptyTestSet for n = 0
+        n, kd = len(certs), matrix.config.kd
+        # clean hits from the kernel's predictions: no second majority vote over any row
+        clean_hits = sum(c.correct for c in certs)
+        base_hits = sum(row.count(label) for row, label in zip(matrix.votes, matrix.labels))
+        ensemble = EnsembleStats(Fraction(clean_hits, n), Fraction(base_hits, n * kd))
+    return CertificateReport(tuple(certs), curve, stats, ensemble)
 
 
 def certified_accuracy(

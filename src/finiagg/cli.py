@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from .certifier import MarginTable, build_report, certified_accuracy, fa_radius, margin_tables
 from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
-from .ensemble import VoteMatrix, collect_votes, ensemble_stats, train_ensemble
+from .ensemble import VoteMatrix, collect_votes, train_ensemble
 from .errors import (
     DataError,
     FiniteAggError,
@@ -42,22 +43,11 @@ from .errors import (
 )
 from .hashing import SpreadOffsets, generate_offsets
 from .infinite_aggregation import ia_radius, ia_vote_distributions
-from .learners import (
-    EXTERNAL_VOTES,
-    MAJORITY_LABEL,
-    NEAREST_CENTROID,
-    LearnerSpec,
-)
+from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec
 from .oracle import verify_certificates
 
-_LEARNER_ALIASES = {
-    "majority": MAJORITY_LABEL,
-    MAJORITY_LABEL: MAJORITY_LABEL,
-    "centroid": NEAREST_CENTROID,
-    NEAREST_CENTROID: NEAREST_CENTROID,
-    "external": EXTERNAL_VOTES,
-    EXTERNAL_VOTES: EXTERNAL_VOTES,
-}
+# short names for --learner; LearnerSpec decides whether any other name is a learner kind
+_LEARNER_ALIASES = {"majority": MAJORITY_LABEL, "centroid": NEAREST_CENTROID}
 
 
 _INT_CELL = re.compile(r"[+-]?[0-9]+")
@@ -227,15 +217,29 @@ def _frac(fr: Fraction) -> dict:
 
 
 def _write(path: str | None, write) -> None:
-    """Call ``write(stream)`` on stdout, or on ``path`` turning an OSError into a DataError."""
-    if path is None:
-        write(sys.stdout)
-        return
+    """Call ``write(stream)`` on ``path``, or on stdout and flush it; an OSError is a DataError."""
     try:
+        if path is None:
+            write(sys.stdout)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as out:
             write(out)
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            _discard_stdout()
+        raise DataError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor, so nothing is flushed to one at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -269,11 +273,7 @@ def _matrix_from_args(args) -> VoteMatrix:
         return load_votes(args.votes)
     if args.dataset is None or args.test is None:
         raise UsageError("need either --votes or both --dataset and --test")
-    kind = _LEARNER_ALIASES.get(args.learner)
-    if kind is None:
-        raise UsageError(f"unknown learner {args.learner!r}")
-    if kind == EXTERNAL_VOTES:
-        raise UsageError("learner external-votes requires --votes")
+    kind = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner)).kind
     # read each CSV once: a pipe or FIFO cannot be read again when the reference takes over
     text = _read_text(args.dataset)
     stats, n_classes = _front_end_statistics(args, kind, text) or (None, None)
@@ -290,7 +290,7 @@ def _matrix_from_args(args) -> VoteMatrix:
         stats = arrays.classifier_statistics(stats, offsets)
         if kind == MAJORITY_LABEL:
             votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
-        else:  # None when a product could reach 2^63 or the test width differs
+        else:  # None when a product could reach 2^63
             votes = arrays.centroid_votes(stats, features)
         if votes is not None:
             labels = tuple(labels) if labels is not None else None
@@ -312,13 +312,18 @@ def _checked_rows(rows, n_classes: int | None, feature_dim: int):
         yield row
 
 
+def _labelled_test_set(path: str | Path, n_classes: int):
+    """Read a test CSV whose labels, if any, lie in ``[0, n_classes)``."""
+    features, labels = read_test_csv(path)
+    for idx, lab in enumerate(labels or ()):
+        if lab < 0 or lab >= n_classes:
+            raise DataError(f"{path}: row {idx}: label {lab} outside [0, {n_classes})")
+    return features, labels
+
+
 def _test_set_and_layout(args, n_classes: int):
     """Read the test CSV and draw the offsets, checking in the order the reference does."""
-    features, labels = read_test_csv(args.test)
-    if labels is not None:
-        for idx, lab in enumerate(labels):
-            if lab < 0 or lab >= n_classes:
-                raise DataError(f"{args.test}: row {idx}: label {lab} outside [0, {n_classes})")
+    features, labels = _labelled_test_set(args.test, n_classes)
     config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
     offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
     return features, labels, config, offsets
@@ -363,18 +368,6 @@ def _front_end_statistics(args, kind: str, text: str):
     return stats, n_classes
 
 
-def _stats_block(matrix: VoteMatrix, want_stats: bool) -> dict | None:
-    if matrix.labels is None:
-        if want_stats:
-            raise MissingLabels("--stats")
-        return None
-    stats = ensemble_stats(matrix)
-    return {
-        "clean_accuracy": _frac(stats.clean_accuracy),
-        "base_accuracy": _frac(stats.base_accuracy),
-    }
-
-
 def _delta_block(tables: Sequence[MarginTable]) -> list[dict]:
     out = []
     for table in tables:
@@ -412,9 +405,13 @@ def cmd_certify(args) -> int:
         "offsets": list(matrix.offsets.offsets),
         "n_test": matrix.n_test,
     }
-    stats = _stats_block(matrix, args.stats)
-    if stats is not None:
-        obj["ensemble_stats"] = stats
+    if report.ensemble is not None:
+        obj["ensemble_stats"] = {
+            "clean_accuracy": _frac(report.ensemble.clean_accuracy),
+            "base_accuracy": _frac(report.ensemble.base_accuracy),
+        }
+    elif args.stats:
+        raise MissingLabels("--stats")
     obj["radius_stats"] = {
         "pr_radius_up": _frac(report.stats.pr_radius_up),
         "mean_delta_r": _frac(report.stats.mean_delta_r),
@@ -519,12 +516,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_ia(args) -> int:
-    kind = _LEARNER_ALIASES.get(args.learner)
-    if kind is None or kind == EXTERNAL_VOTES:
-        raise UsageError(f"ia needs a trainable learner, got {args.learner!r}")
+    spec = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner))
     dataset = read_dataset_csv(args.dataset, args.n_classes)
-    features, labels = read_test_csv(args.test)
-    dists = ia_vote_distributions(dataset, features, args.k, LearnerSpec(kind), args.limit)
+    features, labels = _labelled_test_set(args.test, dataset.n_classes)
+    dists = ia_vote_distributions(dataset, features, args.k, spec, args.limit)
     results = []
     for idx, dist in enumerate(dists):
         label = labels[idx] if labels is not None else None
@@ -561,7 +556,7 @@ def _add_matrix_args(p: _Parser) -> None:
     p.add_argument("--k", type=int, default=10, help="inverse sensitivity")
     p.add_argument("--d", type=int, default=1, help="spread degree")
     p.add_argument("--seed", type=int, default=0, help="offset generator seed")
-    p.add_argument("--learner", default="centroid", help="majority | centroid | external")
+    p.add_argument("--learner", default="centroid", help="majority | centroid")
     p.add_argument("--n-classes", type=int, default=None, help="override inferred class count")
     p.add_argument("--dpa-compatible", action="store_true", help="force offsets {0} (d=1 only)")
     p.add_argument("--save-votes", default=None, help="also write the vote-matrix JSON here")

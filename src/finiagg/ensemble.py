@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .datamodel import AggregationConfig, Dataset
-from .errors import DataError, DimensionMismatch, EmptyTestSet, MissingLabels
+from .errors import DataError, DimensionMismatch, MissingLabels
 from .hashing import SpreadOffsets, build_partitions, generate_offsets, spread_inverse
 from .learners import LearnerSpec, TrainedModel, argmax, train
 
@@ -112,18 +112,12 @@ def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
 
 
 def ensemble_stats(matrix: VoteMatrix) -> EnsembleStats:
-    """Clean accuracy of the aggregate and mean accuracy of the base models."""
+    """Clean accuracy of the aggregate and mean accuracy of the base models.
+
+    Read off ``build_report``, whose certificates hold each row's prediction.
+    """
     if matrix.labels is None:
         raise MissingLabels("ensemble statistics")
-    n = matrix.n_test
-    if n == 0:
-        raise EmptyTestSet()
-    kd = matrix.config.kd
-    n_classes = matrix.config.n_classes
-    clean_hits = 0
-    base_hits = 0
-    for row, label in zip(matrix.votes, matrix.labels):
-        if aggregate_prediction(row, n_classes) == label:
-            clean_hits += 1
-        base_hits += row.count(label)
-    return EnsembleStats(Fraction(clean_hits, n), Fraction(base_hits, n * kd))
+    from .certifier import build_report  # certifier imports this module
+
+    return build_report(matrix, 0).ensemble

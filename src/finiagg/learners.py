@@ -7,9 +7,8 @@ Two built-ins allow end-to-end runs without external ML dependencies:
 * ``nearest-centroid`` predicts the class whose mean feature vector is
   nearest in squared distance, compared in exact integers.
 
-A third kind, ``external-votes``, is recognized but not trainable here:
-its votes arrive through the vote-matrix file and the certifier consumes
-them unchanged.
+Votes of any other learner reach the certifier through a vote-matrix
+file, which names no learner.
 
 Both built-ins break every tie toward the smaller class index, and models
 trained on an empty subset predict class 0. Prediction never touches
@@ -22,12 +21,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import LabeledSample
-from .errors import DimensionMismatch, LimitError, UnknownLearnerKind, UsageError
+from .errors import DimensionMismatch, LimitError, UnknownLearnerKind
 
 MAJORITY_LABEL = "majority-label"
 NEAREST_CENTROID = "nearest-centroid"
-EXTERNAL_VOTES = "external-votes"
-KNOWN_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID, EXTERNAL_VOTES)
+KNOWN_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID)
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,6 @@ def train(
     one of the ``n_classes`` classes; when those cannot be allocated,
     ``LimitError`` says so.
     """
-    if spec.kind == EXTERNAL_VOTES:
-        raise UsageError("external-votes supplies predictions via a vote matrix file")
-    if spec.kind not in (MAJORITY_LABEL, NEAREST_CENTROID):
-        raise UnknownLearnerKind(spec.kind)
     dim = len(subset[0].features) if subset else 0
     try:
         counts = [0] * n_classes

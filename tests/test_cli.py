@@ -636,12 +636,20 @@ def test_empty_training_csv_with_n_classes_votes_class_zero(tmp_path, test_file)
 
 
 def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_file, capsys):
+    from unittest import mock
+
+    from finiagg import cli
+
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("f0\n2\n8\n", encoding="utf-8")
     argv = ("certify", "--dataset", train_file, "--test", narrow, "--k", 3, "--d", 2)
-    assert _run(*argv, "--learner", "centroid") == 2
     want = {"error": "DimensionMismatch", "message": "expected 2 features, got 1", "exit_code": 2}
-    assert capsys.readouterr().err == json.dumps(want) + "\n"
+    # the front end raises the mismatch itself: the reference would need n_classes counters
+    for classes in ((), ("--n-classes", 2**40)):
+        with mock.patch.object(cli, "_reference_matrix") as reference:
+            assert _run(*argv, *classes, "--learner", "centroid") == 2
+        assert not reference.called
+        assert capsys.readouterr().err == json.dumps(want) + "\n"
     assert _run(*argv, "--learner", "majority", "--out", tmp_path / "r.json") == 0
 
 
@@ -778,8 +786,8 @@ def _pipe(content: str) -> int:
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
 def test_csvs_in_pipes_are_read_once_when_the_reference_votes(tmp_path, learner, capsys):
-    # a test width unlike the training width, or a training cell whose centroid products
-    # may pass 2^63, hands the votes to the reference after both CSVs were read
+    # a training cell whose centroid products may pass 2^63 hands the votes to the reference
+    # after both CSVs were read; a test width unlike the training width is an error either way
     big = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**40}\n")
     for train_csv, test_csv in ((TRAIN_CSV, "f0\n2\n"), (big, UNLABELED_CSV), (TRAIN_CSV, TEST_CSV)):
         files = (tmp_path / "train.csv", tmp_path / "test.csv")
@@ -815,3 +823,123 @@ def test_ia_rejects_a_nonpositive_k(tmp_path, train_file, test_file, k, capsys):
     assert json.loads(err) == {
         "error": "DataError", "message": f"k must be positive, got {k}", "exit_code": 2,
     }
+
+
+@pytest.mark.parametrize("command", [["certify"], ["certify", "--stats"], ["curve"], ["compare"]])
+def test_certifying_takes_no_second_majority_vote(tmp_path, train_file, test_file, command, monkeypatch):
+    from finiagg import ensemble, oracle
+
+    calls = []
+    original = ensemble.aggregate_prediction
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ensemble, "aggregate_prediction", counting)
+    monkeypatch.setattr(oracle, "aggregate_prediction", counting)
+    assert _run(
+        *command, "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2,
+        "--out", tmp_path / "out",
+    ) == 0
+    assert calls == []
+
+
+def test_report_accuracy_equals_a_recount_of_the_votes(tmp_path, rng):
+    from finiagg import aggregate_prediction, ensemble_stats
+
+    def frac(num, den):
+        fr = Fraction(num, den)
+        return {"exact": f"{fr.numerator}/{fr.denominator}", "float": float(fr)}
+
+    for case in range(150):
+        k, d = rng.randint(1, 4), rng.randint(1, 3)
+        kd = k * d
+        n_classes = rng.choice([2, 5, 2**40 + 2])
+        # few classes per matrix, so ties are common; labels may name a class without votes
+        palette = rng.sample(sorted({0, 1, n_classes - 1, n_classes // 2, 2**40 % n_classes}), 2)
+        rows = [[rng.choice(palette) for _ in range(kd)] for _ in range(rng.randint(1, 5))]
+        labels = [rng.choice([*palette, rng.randrange(n_classes)]) for _ in rows]
+        votes = tmp_path / "votes.json"
+        votes.write_text(json.dumps({"k": k, "d": d, "offsets": rng.sample(range(kd), d),
+                                     "n_classes": n_classes, "labels": labels, "votes": rows}))
+        out = tmp_path / "report.json"
+        assert _run("certify", "--votes", votes, "--out", out) == 0
+        clean = sum(aggregate_prediction(row, n_classes) == lab for row, lab in zip(rows, labels))
+        base = sum(row.count(lab) for row, lab in zip(rows, labels))
+        want = {"clean_accuracy": frac(clean, len(rows)), "base_accuracy": frac(base, len(rows) * kd)}
+        assert json.loads(out.read_text())["ensemble_stats"] == want, case
+        stats = ensemble_stats(votes_from_json(votes.read_text()))
+        assert (stats.clean_accuracy, stats.base_accuracy) == (Fraction(clean, len(rows)),
+                                                               Fraction(base, len(rows) * kd))
+
+
+@pytest.mark.parametrize("command", ["certify", "ia"])
+def test_the_external_learner_is_unknown(tmp_path, train_file, test_file, command, capsys):
+    out = tmp_path / "out.json"
+    assert _run(command, "--dataset", train_file, "--test", test_file, "--k", 3,
+                "--learner", "external", "--out", out) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    want = {"error": "UnknownLearnerKind", "message": "unknown learner kind 'external'", "exit_code": 1}
+    assert err == json.dumps(want) + "\n"
+
+
+class _BrokenStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_failed_stdout_write_is_one_data_error(tmp_path, monkeypatch, capsys):
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps(VOTES), encoding="utf-8")
+    for command in (["certify"], ["curve"], ["compare"]):
+        monkeypatch.setattr("sys.stdout", _BrokenStdout())
+        assert _run(*command, "--votes", votes) == 2
+        err = capsys.readouterr().err
+        assert err == json.dumps({"error": "DataError", "message": "cannot write stdout: [Errno 32] Broken pipe",
+                                  "exit_code": 2}) + "\n"
+
+
+@pytest.mark.parametrize("stdout", ["closed-pipe", "/dev/full"])
+def test_a_failed_stdout_write_in_a_process_is_one_data_error(tmp_path, stdout):
+    import subprocess
+    import sys
+
+    if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps(VOTES), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout is flushed once more at exit
+    if stdout == "closed-pipe":  # a pipe without a reader, as when `| head` has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    else:
+        write_end = os.open(stdout, os.O_WRONLY)
+    try:
+        for command in ("certify", "compare"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "finiagg.cli", command, "--votes", str(votes)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert json.loads(proc.stderr)["error"] == "DataError"
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("label", [7, -1])
+def test_ia_rejects_test_labels_outside_the_classes(tmp_path, train_file, label, capsys):
+    test = tmp_path / "labelled.csv"
+    test.write_text(f"label,f0,f1\n0,2,2\n{label},8,8\n", encoding="utf-8")
+    out = tmp_path / "ia.json"
+    assert _run("ia", "--dataset", train_file, "--test", test, "--k", 2, "--out", out) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    want = {"error": "DataError", "message": f"{test}: row 1: label {label} outside [0, 3)", "exit_code": 2}
+    assert err == json.dumps(want) + "\n"
