@@ -315,7 +315,7 @@ def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
 
 
 def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tuple[Fraction, ...]:
-    """``curve[m]`` = fraction of samples whose radius is at least m."""
+    """``curve[m]`` = fraction of samples whose radius is at least m; equal points are one object."""
     n = len(radii)
     if n == 0:
         raise EmptyTestSet()
@@ -330,7 +330,8 @@ def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tupl
             at_least[min(r, max_attack_size)] += 1
     for m in range(max_attack_size - 1, -1, -1):
         at_least[m] += at_least[m + 1]
-    return tuple(Fraction(hits, n) for hits in at_least)
+    steps = {hits: Fraction(hits, n) for hits in set(at_least)}
+    return tuple(map(steps.__getitem__, at_least))
 
 
 def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusStats:
@@ -385,6 +386,12 @@ def certified_accuracy(
     """
     if labels is None or len(labels) != len(tables):
         raise MissingLabels("certified accuracy")
+    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
+    return _certified_accuracy(tables, radii, budget, enumeration_cap)
+
+
+def _certified_accuracy(tables, radii: Sequence[int], budget: int, enumeration_cap: int):
+    """``certified_accuracy`` from each row's ``fa_radius`` against its label (-1: mispredicted)."""
     if budget < 0:
         raise DataError(f"attack budget must be non-negative, got {budget}")
     n = len(tables)
@@ -398,8 +405,7 @@ def certified_accuracy(
 
     always = 0  # rows certified under every Q
     scored = []  # (radius, per challenger: losses by partition and margin) of the rest
-    for table, label in zip(tables, labels):
-        radius = fa_radius(table, label)
+    for table, radius in zip(tables, radii):
         if radius >= q_size:
             always += 1
         elif radius >= 0:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .certifier import MarginTable, build_report, certified_accuracy, fa_radius, margin_tables
+from .certifier import MarginTable, _certified_accuracy, build_report, fa_radius, margin_tables
 from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
 from .ensemble import VoteMatrix, collect_votes, train_ensemble
 from .errors import (
@@ -247,7 +247,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, obj) -> None:
-    # json.dump streams the encoder's chunks; dumps would hold them and the whole string
+    # json.dump writes chunk by chunk from a pure-Python encoder; certify writes its curve itself
     def dump(out) -> None:
         json.dump(obj, out, indent=2)
         out.write("\n")
@@ -255,11 +255,23 @@ def _write_json(path: str | None, obj) -> None:
     _write(path, dump)
 
 
-def curve_csv(curve: Sequence[Fraction]) -> str:
-    lines = ["attack_size,certified_fraction"]
+def _by_step(curve: Sequence[Fraction], encode):
+    """Yield ``(m, encode(curve[m]))``, calling ``encode`` once per run of one ``Fraction`` object."""
+    step = text = None
     for m, frac in enumerate(curve):
-        lines.append(f"{m},{float(frac)!r}")
-    return "\n".join(lines) + "\n"
+        if frac is not step:
+            step, text = frac, encode(frac)
+        yield m, text
+
+
+def curve_csv(curve: Sequence[Fraction]) -> str:
+    rows = (f"{m},{value}\n" for m, value in _by_step(curve, lambda frac: repr(float(frac))))
+    return "attack_size,certified_fraction\n" + "".join(rows)
+
+
+def _curve_fraction(frac: Fraction) -> str:
+    """A certify report curve point's ``certified_fraction``, as ``json.dump(indent=2)`` writes it."""
+    return json.dumps(_frac(frac), indent=2).replace("\n", "\n      ")
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +437,24 @@ def cmd_certify(args) -> int:
         }
         for c in report.certificates
     ]
-    obj["curve"] = [
-        {"attack_size": m, "certified_fraction": _frac(f)}
-        for m, f in enumerate(report.curve)
-    ]
-    if deltas is not None:
-        obj["delta_multisets"] = deltas
-    _write_json(args.out, obj)
+    head = json.dumps(obj, indent=2).removesuffix("\n}")
+
+    def write(out) -> None:  # json.dump(indent=2)'s bytes; no long list is encoded as one string
+        def entry(key: str, items) -> None:  # a list-valued key, from each item's text two levels deep
+            sep = f',\n  "{key}": [\n    '
+            for text in items:
+                out.write(sep + text)
+                sep = ",\n    "
+            out.write("\n  ]")
+
+        out.write(head)
+        entry("curve", (f'{{\n      "attack_size": {m},\n      "certified_fraction": {text}\n    }}'
+                        for m, text in _by_step(report.curve, _curve_fraction)))
+        if deltas is not None:
+            entry("delta_multisets", (json.dumps(r, indent=2).replace("\n", "\n    ") for r in deltas))
+        out.write("\n}\n")
+
+    _write(args.out, write)
     if args.curve:
         _write_text(args.curve, curve_csv(report.curve))
     return 0
@@ -464,9 +487,9 @@ def cmd_cert_acc(args) -> int:
     if matrix.labels is None:
         raise MissingLabels("certified accuracy")
     tables = margin_tables(matrix)
-    accuracy, argmin_q = certified_accuracy(tables, matrix.labels, args.budget, args.enumeration_cap)
-    certified = sum(fa_radius(t, label) >= args.budget for t, label in zip(tables, matrix.labels))
-    fraction = Fraction(certified, len(tables))
+    radii = [fa_radius(table, label) for table, label in zip(tables, matrix.labels)]
+    accuracy, argmin_q = _certified_accuracy(tables, radii, args.budget, args.enumeration_cap)
+    fraction = Fraction(sum(r >= args.budget for r in radii), len(tables))
     _write_json(
         args.out,
         {

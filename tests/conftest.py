@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from finiagg import SpreadOffsets
 from finiagg.certifier import (
     SampleCertificate,
+    build_report,
     dpa_baseline_radius,
     fa_radius,
     margin_tables,
 )
+from finiagg.cli import _delta_block
 
 
 @pytest.fixture
@@ -37,3 +40,49 @@ def reference_certificates(matrix) -> list[SampleCertificate]:
         )
         for table, label in zip(margin_tables(matrix), labels)
     ]
+
+
+def _frac(fr) -> dict:
+    return {"exact": f"{fr.numerator}/{fr.denominator}", "float": float(fr)}
+
+
+def reference_certify_outputs(matrix, max_attack_size: int, verbose: bool) -> tuple[str, str]:
+    """The report and curve CSV that ``certify`` must write, built one curve point at a time.
+
+    The report is ``json.dumps(indent=2)`` of a dict holding one dict per
+    curve point; the CSV formats every point with its own f-string.
+    """
+    deltas = _delta_block(margin_tables(matrix)) if verbose else None
+    report = build_report(matrix, max_attack_size)
+    config = matrix.config
+    obj: dict = {
+        "command": "certify",
+        "k": config.k,
+        "d": config.d,
+        "kd": config.kd,
+        "n_classes": config.n_classes,
+        "offsets": list(matrix.offsets.offsets),
+        "n_test": matrix.n_test,
+    }
+    if report.ensemble is not None:
+        obj["ensemble_stats"] = {
+            "clean_accuracy": _frac(report.ensemble.clean_accuracy),
+            "base_accuracy": _frac(report.ensemble.base_accuracy),
+        }
+    obj["radius_stats"] = {
+        "pr_radius_up": _frac(report.stats.pr_radius_up),
+        "mean_delta_r": _frac(report.stats.mean_delta_r),
+    }
+    obj["certificates"] = [
+        {"predicted": c.predicted, "correct": c.correct, "fa_radius": c.fa_radius, "dpa_radius": c.dpa_radius}
+        for c in report.certificates
+    ]
+    obj["curve"] = [
+        {"attack_size": m, "certified_fraction": _frac(f)} for m, f in enumerate(report.curve)
+    ]
+    if deltas is not None:
+        obj["delta_multisets"] = deltas
+    lines = ["attack_size,certified_fraction"]
+    for m, frac in enumerate(report.curve):
+        lines.append(f"{m},{float(frac)!r}")
+    return json.dumps(obj, indent=2) + "\n", "\n".join(lines) + "\n"

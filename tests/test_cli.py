@@ -440,6 +440,25 @@ def test_cert_acc_budget_past_any_curve_is_certified_for_none(tmp_path, train_fi
     assert report["certified_accuracy"] == {"exact": "0/1", "float": 0.0}
 
 
+def test_cert_acc_computes_each_radius_once(tmp_path, train_file, test_file, monkeypatch):
+    from finiagg import certifier, cli
+
+    calls = []
+    fa_radius = certifier.fa_radius
+
+    def counted(*args):
+        calls.append(args)
+        return fa_radius(*args)
+
+    monkeypatch.setattr(certifier, "fa_radius", counted)
+    monkeypatch.setattr(cli, "fa_radius", counted)
+    argv = ["cert-acc", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2]
+    for budget in (0, 2, 10**11):
+        calls.clear()
+        assert _run(*argv, "--budget", budget, "--out", tmp_path / "acc.json") == 0
+        assert len(calls) == 3  # one per test row
+
+
 def test_wide_class_indices_certify_like_the_reference(tmp_path):
     from conftest import reference_certificates
 

@@ -2,7 +2,9 @@
 
 Every run must return a documented exit code (4 only from ``oracle-check``).
 A failing run writes exactly one JSON line to stderr, naming that code; a
-successful one writes nothing there. No exception may escape ``main``.
+successful one writes nothing there. No exception may escape ``main``. A
+successful ``certify`` or ``curve`` run writes the bytes of the per-point
+reference (``reference_certify_outputs``) for the matrix it certified.
 
 An example carries at most one defect, in one file or in the options, so
 that most runs get past the readers into training, voting and certifying.
@@ -17,9 +19,12 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+from conftest import reference_certify_outputs
 from hypothesis import given, settings, strategies as st
 
+from finiagg import cli
 from finiagg.cli import main
 
 BIG = 10**11
@@ -29,13 +34,24 @@ COMMANDS = ["certify", "curve", "compare", "cert-acc", "oracle-check", "ia"]
 
 
 def _check(argv, files: dict[str, bytes]) -> None:
+    matrices = []  # (options, vote matrix) of each run's certified matrix
+    matrix_from_args = cli._matrix_from_args
+
+    def record(args):
+        matrix = matrix_from_args(args)
+        matrices.append((args, matrix))
+        return matrix
+
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             (Path(tmp) / name).write_bytes(content)
         argv = [str(Path(tmp) / a) if a in FILES else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            with mock.patch.object(cli, "_matrix_from_args", record):
+                code = main(argv)
+        if code == 0 and argv[0] in ("certify", "curve"):
+            _check_outputs(argv[0], *matrices[0], out.getvalue())
     assert code in (0, 1, 2, 3, 4), (argv, code)
     if code == 4:
         assert argv[0] == "oracle-check"
@@ -47,6 +63,20 @@ def _check(argv, files: dict[str, bytes]) -> None:
         error = json.loads(lines[0])
         assert error["exit_code"] == code
         assert isinstance(error["error"], str) and isinstance(error["message"], str)
+
+
+def _check_outputs(command: str, args, matrix, stdout: str) -> None:
+    """Hold a run's report and curve CSV to the per-point reference, byte for byte."""
+    size = args.max_attack_size if args.max_attack_size is not None else matrix.config.kd
+    verbose = command == "certify" and args.verbose
+    report, csv = reference_certify_outputs(matrix, size, verbose)
+    written = Path(args.out).read_text(encoding="utf-8") if args.out else stdout
+    if command == "curve":
+        assert written == csv, args
+        return
+    assert written == report, args
+    if args.curve:
+        assert Path(args.curve).read_text(encoding="utf-8") == csv, args
 
 
 BIG_INTS = [2**31, *HUGE]
