@@ -256,51 +256,60 @@ def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
     return m + hist[0]  # zero losses never exhaust the margin
 
 
-def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
-    """Per-sample certificates for every row of a vote matrix, in exact integer NumPy.
+def _row_losses(matrix: VoteMatrix):
+    """Per row: the prediction c, ``N_c``, and a lazy iterator of its challengers' ``(q, N_q, hist)``.
 
-    Every report's certificates come from here; ``fa_radius`` and
-    ``dpa_baseline_radius`` over ``margin_tables`` are the reference this is
-    checked against. Per row: the counts of the classes with votes, the
-    prediction by ``argmax`` over them in class order (first maximum, so ties go to the
-    smaller index), the per-partition counts ``a`` of a class by a circulant
-    sum of its one-hot over the offsets, and per challenger a histogram of
-    the losses ``e = d + a[c] - a[q]``. Classes without votes share
-    ``a[q] = 0``; the smallest of them has the smallest margin and stands
-    for them all. Each dtype is sized from the bound its values obey, so no
-    valid input wraps around.
+    ``hist[e]`` counts the partitions whose loss ``d + a[c] - a[q]`` is e,
+    where ``a`` of a class is a circulant sum of its one-hot over the offsets.
+    c is the first ``argmax`` over the classes with votes. Classes without
+    votes share ``a[q] = 0``; the smallest has the smallest margin and stands
+    for them all. Each dtype holds every value its bound allows.
     """
     import numpy as np  # imported here: commands that never certify skip its cost
 
     from .arrays import circulant_sum
 
-    kd, d, n_classes = matrix.config.kd, matrix.config.d, matrix.config.n_classes
+    d, n_classes = matrix.config.d, matrix.config.n_classes
     vote_dtype = _int_dtype(n_classes - 1, "class indices")
     count_dtype = _int_dtype(d, "per-partition vote counts")
     loss_dtype = _int_dtype(2 * d, "margin losses")
     offsets = matrix.offsets.offsets
-    labels = matrix.labels
 
-    certs = []
-    for t, votes in enumerate(matrix.votes):
+    def challengers(row, c: int, counts: dict[int, int]):
+        top = circulant_sum(row == c, offsets, count_dtype).astype(loss_dtype) + d  # d + a[c]
+        for q, n_q in counts.items():
+            if q != c:
+                losses = top - circulant_sum(row == q, offsets, count_dtype) if n_q else top
+                yield q, n_q, np.bincount(losses, minlength=2 * d + 1).tolist()
+
+    for votes in matrix.votes:
         row = np.array(votes, dtype=vote_dtype)
         classes, counts = np.unique(row, return_counts=True)
         c = int(classes[counts.argmax()])
+        counts = dict(zip(classes.tolist(), counts.tolist()))
+        absent = next((i for i, q in enumerate(counts) if q != i), len(counts))
+        if absent < n_classes:
+            counts[absent] = 0
+        yield c, counts[c], challengers(row, c, counts)
+
+
+def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
+    """Per-sample certificates for every row of a vote matrix, from ``_row_losses``.
+
+    Every report's certificates come from here; ``fa_radius`` and
+    ``dpa_baseline_radius`` over ``margin_tables`` are the reference this is
+    checked against. A mispredicted row never sums its challengers' losses.
+    """
+    kd, d, labels = matrix.config.kd, matrix.config.d, matrix.labels
+    certs = []
+    for t, (c, n_c, challengers) in enumerate(_row_losses(matrix)):
         label = labels[t] if labels is not None else None
         if label is not None and c != label:
             certs.append(SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1))
             continue
-        counts = dict(zip(classes.tolist(), counts.tolist()))
-        top = circulant_sum(row == c, offsets, count_dtype).astype(loss_dtype) + d  # d + a[c]
-        challengers = [(q, n) for q, n in counts.items() if q != c]
-        absent = next((i for i, q in enumerate(counts) if q != i), len(counts))
-        if absent < n_classes:
-            challengers.append((absent, 0))
         fine = base = kd
-        for q, n_q in challengers:
-            losses = top - circulant_sum(row == q, offsets, count_dtype) if n_q else top
-            rhs = counts[c] - n_q - (q < c)
-            hist = np.bincount(losses, minlength=2 * d + 1).tolist()
+        for q, n_q, hist in challengers:
+            rhs = n_c - n_q - (q < c)
             fine = min(fine, _histogram_radius(hist, rhs))
             base = min(base, rhs // (2 * d))
         certs.append(
@@ -384,25 +393,30 @@ def certified_accuracy(
     fine radius reaches |Q| is certified under every Q; only the others are
     scored per Q, from their per-challenger losses ``e_j`` and margins.
     """
-    if labels is None or len(labels) != len(tables):
-        raise MissingLabels("certified accuracy")
+    kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
+    q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)
     radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
-    return _certified_accuracy(tables, radii, budget, enumeration_cap)
+    return _certified_accuracy(tables, radii, q_size)
 
 
-def _certified_accuracy(tables, radii: Sequence[int], budget: int, enumeration_cap: int):
-    """``certified_accuracy`` from each row's ``fa_radius`` against its label (-1: mispredicted)."""
+def _shared_set_size(labels, n_test: int, kd: int, budget: int, enumeration_cap: int) -> int:
+    """``min(budget, kd)``, the size of every Q, after the checks that need no margin table, in order."""
+    if labels is None or len(labels) != n_test:
+        raise MissingLabels("certified accuracy")
     if budget < 0:
         raise DataError(f"attack budget must be non-negative, got {budget}")
-    n = len(tables)
-    if n == 0:
+    if n_test == 0:
         raise EmptyTestSet()
-    kd = tables[0].kd
     q_size = min(budget, kd)
     count = math.comb(kd, q_size)
     if count > enumeration_cap:
         raise EnumerationTooLarge(kd, budget, count, enumeration_cap)
+    return q_size
 
+
+def _certified_accuracy(tables, radii: Sequence[int], q_size: int):
+    """``certified_accuracy``'s search over Q of ``q_size`` partitions; radius -1 is a mispredicted row."""
+    n, kd = len(tables), tables[0].kd
     always = 0  # rows certified under every Q
     scored = []  # (radius, per challenger: losses by partition and margin) of the rest
     for table, radius in zip(tables, radii):

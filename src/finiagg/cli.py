@@ -31,12 +31,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .certifier import MarginTable, _certified_accuracy, build_report, fa_radius, margin_tables
+from .certifier import (
+    _certified_accuracy, _row_losses, _shared_set_size, build_report, fa_radius, margin_tables,
+)
 from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
 from .ensemble import VoteMatrix, collect_votes, train_ensemble
 from .errors import (
     DataError,
     FiniteAggError,
+    LimitError,
     MissingLabels,
     SoundnessViolation,
     UsageError,
@@ -140,10 +143,8 @@ def _read_header(reader, path: str | Path) -> tuple[int, bool]:
 
 
 def _int_rows(reader, path: str | Path):
-    """Yield each non-blank row after the header as a tuple of ints."""
-    for idx, cells in enumerate(reader):
-        if not cells:
-            continue
+    """Yield each non-blank row after the header as a tuple of ints; blank rows are not numbered."""
+    for idx, cells in enumerate(filter(None, reader)):
         # int() would also accept " 3", "1_0" and non-ASCII digits
         if not all(map(_INT_CELL.fullmatch, cells)):
             raise DataError(f"{path}: row {idx} has a non-integer cell")
@@ -380,22 +381,38 @@ def _front_end_statistics(args, kind: str, text: str):
     return stats, n_classes
 
 
-def _delta_block(tables: Sequence[MarginTable]) -> list[dict]:
-    out = []
-    for table in tables:
-        challengers = []
-        for cp in range(table.n_classes):
-            if cp == table.prediction:
-                continue
-            challengers.append(
-                {
-                    "challenger": cp,
-                    "rhs": table.rhs(cp),
-                    "elements": table.delta_elements(cp),
-                }
-            )
-        out.append({"prediction": table.prediction, "delta": challengers})
-    return out
+def _delta_rows(matrix: VoteMatrix):
+    """Each row's ``delta_multisets`` entry, as ``json.dump(indent=2)`` writes it two levels deep.
+
+    Elements are losses in descending order, loss e written ``hist[e]`` times;
+    the classes without votes share one histogram's text. Every row lists all
+    classes, so a class count ``margin_table`` could not allocate is refused here,
+    before any row is made.
+    """
+    n_classes = matrix.config.n_classes
+    try:
+        [None] * n_classes  # the allocation margin_table makes first
+    except (MemoryError, OverflowError):
+        raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
+
+    def elements(hist: list[int]) -> str:
+        return "".join(f"\n            {e}," * hist[e] for e in range(len(hist) - 1, -1, -1))[:-1]
+
+    def row(c: int, n_c: int, challengers) -> str:
+        listed = {q: (n_q, elements(hist)) for q, n_q, hist in challengers}
+        without_votes = next((entry for entry in listed.values() if entry[0] == 0), None)
+        delta = []
+        for q in range(n_classes):
+            if q != c:
+                n_q, text = listed.get(q, without_votes)
+                delta.append(
+                    f'\n        {{\n          "challenger": {q},\n          "rhs": {n_c - n_q - (q < c)},'
+                    f'\n          "elements": [{text}\n          ]\n        }}'
+                )
+        delta_text = f'[{",".join(delta)}\n      ]' if delta else "[]"
+        return f'{{\n      "prediction": {c},\n      "delta": {delta_text}\n    }}'
+
+    return (row(*losses) for losses in _row_losses(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +422,7 @@ def _delta_block(tables: Sequence[MarginTable]) -> list[dict]:
 def cmd_certify(args) -> int:
     matrix = _matrix_from_args(args)
     max_attack = args.max_attack_size if args.max_attack_size is not None else matrix.config.kd
-    # tables before the kernel: a class count they cannot hold gets the margin table's LimitError
-    deltas = _delta_block(margin_tables(matrix)) if args.verbose else None
+    deltas = _delta_rows(matrix) if args.verbose else None
     report = build_report(matrix, max_attack)
     obj: dict = {
         "command": "certify",
@@ -451,7 +467,7 @@ def cmd_certify(args) -> int:
         entry("curve", (f'{{\n      "attack_size": {m},\n      "certified_fraction": {text}\n    }}'
                         for m, text in _by_step(report.curve, _curve_fraction)))
         if deltas is not None:
-            entry("delta_multisets", (json.dumps(r, indent=2).replace("\n", "\n    ") for r in deltas))
+            entry("delta_multisets", deltas)
         out.write("\n}\n")
 
     _write(args.out, write)
@@ -484,11 +500,11 @@ def cmd_compare(args) -> int:
 
 def cmd_cert_acc(args) -> int:
     matrix = _matrix_from_args(args)
-    if matrix.labels is None:
-        raise MissingLabels("certified accuracy")
+    labels = matrix.labels
+    q_size = _shared_set_size(labels, matrix.n_test, matrix.config.kd, args.budget, args.enumeration_cap)
     tables = margin_tables(matrix)
-    radii = [fa_radius(table, label) for table, label in zip(tables, matrix.labels)]
-    accuracy, argmin_q = _certified_accuracy(tables, radii, args.budget, args.enumeration_cap)
+    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
+    accuracy, argmin_q = _certified_accuracy(tables, radii, q_size)
     fraction = Fraction(sum(r >= args.budget for r in radii), len(tables))
     _write_json(
         args.out,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .datamodel import AggregationConfig, Dataset
-from .errors import DataError, DimensionMismatch, MissingLabels
+from .errors import DataError, DimensionMismatch
 from .hashing import SpreadOffsets, build_partitions, generate_offsets, spread_inverse
 from .learners import LearnerSpec, TrainedModel, argmax, train
 
@@ -109,15 +109,3 @@ def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
     counts = Counter(row)
     classes = sorted(counts)
     return classes[argmax([counts[c] for c in classes])] if classes else 0
-
-
-def ensemble_stats(matrix: VoteMatrix) -> EnsembleStats:
-    """Clean accuracy of the aggregate and mean accuracy of the base models.
-
-    Read off ``build_report``, whose certificates hold each row's prediction.
-    """
-    if matrix.labels is None:
-        raise MissingLabels("ensemble statistics")
-    from .certifier import build_report  # certifier imports this module
-
-    return build_report(matrix, 0).ensemble

@@ -11,7 +11,6 @@ from finiagg.certifier import (
     fa_radius,
     margin_tables,
 )
-from finiagg.cli import _delta_block
 
 
 @pytest.fixture
@@ -50,9 +49,9 @@ def reference_certify_outputs(matrix, max_attack_size: int, verbose: bool) -> tu
     """The report and curve CSV that ``certify`` must write, built one curve point at a time.
 
     The report is ``json.dumps(indent=2)`` of a dict holding one dict per
-    curve point; the CSV formats every point with its own f-string.
+    curve point, and with ``verbose`` each row's challengers from its margin
+    table; the CSV formats every point with its own f-string.
     """
-    deltas = _delta_block(margin_tables(matrix)) if verbose else None
     report = build_report(matrix, max_attack_size)
     config = matrix.config
     obj: dict = {
@@ -80,8 +79,18 @@ def reference_certify_outputs(matrix, max_attack_size: int, verbose: bool) -> tu
     obj["curve"] = [
         {"attack_size": m, "certified_fraction": _frac(f)} for m, f in enumerate(report.curve)
     ]
-    if deltas is not None:
-        obj["delta_multisets"] = deltas
+    if verbose:
+        obj["delta_multisets"] = [
+            {
+                "prediction": table.prediction,
+                "delta": [
+                    {"challenger": q, "rhs": table.rhs(q), "elements": table.delta_elements(q)}
+                    for q in range(table.n_classes)
+                    if q != table.prediction
+                ],
+            }
+            for table in margin_tables(matrix)
+        ]
     lines = ["attack_size,certified_fraction"]
     for m, frac in enumerate(report.curve):
         lines.append(f"{m},{float(frac)!r}")

@@ -332,7 +332,7 @@ def test_criterion_7_trend_across_spread_degrees():
         matrix = fa.collect_votes(models, feats, config, offsets, labels)
         radii = [c.fa_radius for c in fa.certify_matrix(matrix)]
         curve = fa.certified_fraction_curve(radii, 3)
-        clean = fa.ensemble_stats(matrix).clean_accuracy
+        clean = fa.build_report(matrix, 0).ensemble.clean_accuracy
         results.append((d, clean, Fraction(sum(radii), len(radii)), curve))
 
     cleans = [r[1] for r in results]

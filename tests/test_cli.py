@@ -349,7 +349,7 @@ def test_compare_rejects_an_empty_test_set(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "EmptyTestSet"
 
 
-@pytest.mark.parametrize("command", [["cert-acc", "--budget", "1"], ["certify", "--verbose"]])
+@pytest.mark.parametrize("command", [["cert-acc", "--budget", "1"]])
 def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, monkeypatch):
     from finiagg import certifier
 
@@ -368,9 +368,14 @@ def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, mo
     assert len(calls) == len(TEST_CSV.splitlines()) - 1
 
 
-@pytest.mark.parametrize("command", [["certify"], ["curve"], ["compare"]])
+@pytest.mark.parametrize(
+    "command, code",
+    [(["certify"], 0), (["certify", "--verbose"], 0), (["curve"], 0), (["compare"], 0),
+     # cert-acc refuses its arguments before it tabulates
+     (["cert-acc", "--budget", "-1"], 2), (["cert-acc", "--budget", "2", "--enumeration-cap", "5"], 3)],
+)
 def test_certifying_without_tables_tabulates_nothing(
-    tmp_path, train_file, test_file, command, monkeypatch
+    tmp_path, train_file, test_file, command, code, monkeypatch
 ):
     from finiagg import certifier
 
@@ -385,17 +390,17 @@ def test_certifying_without_tables_tabulates_nothing(
     assert _run(
         *command, "--dataset", train_file, "--test", test_file,
         "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
-    ) == 0
+    ) == code
     assert calls == []
 
 
 @pytest.mark.parametrize(
     "command, per_row",
     [(["oracle-check", "--d", "1"], 1), (["oracle-check", "--d", "2"], 1), (["cert-acc", "--d", "2"], 1),
-     (["certify", "--verbose", "--d", "2"], 1), (["certify", "--d", "2"], 0), (["curve", "--d", "1"], 0),
+     (["certify", "--verbose", "--d", "2"], 0), (["certify", "--d", "2"], 0), (["curve", "--d", "1"], 0),
      (["compare", "--d", "2"], 0)],
 )
-def test_margin_tables_serve_only_deltas_and_audits(
+def test_margin_tables_serve_only_audits(
     tmp_path, train_file, test_file, command, per_row, monkeypatch
 ):
     from finiagg import certifier, oracle
@@ -607,6 +612,9 @@ STREAM_ERRORS = [
     # every row is checked for integer cells before any row is validated
     ("label,f0,f1\n0,1\n0,-1,2\n0,1,x\n", [], 2, "DataError", "{train}: row 2 has a non-integer cell"),
     ("label,f0,f1\n0,1\n0,-1,2\n", [], 2, "RaggedRow", "row 0: expected 2 feature columns, got 1"),
+    # blank lines are not numbered, by the cell check or by the row checks
+    ("label,f0,f1\n0,1,2\n\n0,1,x\n", [], 2, "DataError", "{train}: row 1 has a non-integer cell"),
+    ("label,f0,f1\n0,1,2\n\n0,-1,2\n", [], 2, "NegativeFeature", "row 1: feature f0 is negative (-1)"),
     # the training CSV is read before --k and --d are checked
     ("label,f0,f1\n0,1,x\n", ["--k", "0"], 2, "DataError", "{train}: row 0 has a non-integer cell"),
     ("label,f0,f1\n0,1\n", ["--d", "0"], 2, "RaggedRow", "row 0: expected 2 feature columns, got 1"),
@@ -635,6 +643,20 @@ def test_streamed_training_csv_fails_like_the_reference(
     assert out == ""
     want = {"error": error, "message": message.format(train=train, test=test_file), "exit_code": code}
     assert err == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "test_csv, message",
+    [("label,f0,f1\n0,2,2\n\n1,8,x\n", "{test}: row 1 has a non-integer cell"),
+     ("label,f0,f1\n0,2,2\n\n1,8,-8\n", "{test}: row 1: feature f1 is negative"),
+     ("label,f0,f1\n0,2,2\n\n1,8\n", "{test}: row 1 has 1 features, expected 2"),
+     ("f0,f1\n\n2,2\n\n8,x\n", "{test}: row 1 has a non-integer cell")],
+)
+def test_test_csv_rows_are_numbered_without_blank_lines(tmp_path, train_file, test_csv, message, capsys):
+    test = tmp_path / "blank.csv"
+    test.write_text(test_csv, encoding="utf-8")
+    assert _run("certify", "--dataset", train_file, "--test", test) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == message.format(test=test)
 
 
 def test_training_csv_that_is_a_directory_is_unreadable(tmp_path, test_file, capsys):
@@ -865,7 +887,7 @@ def test_certifying_takes_no_second_majority_vote(tmp_path, train_file, test_fil
 
 
 def test_report_accuracy_equals_a_recount_of_the_votes(tmp_path, rng):
-    from finiagg import aggregate_prediction, ensemble_stats
+    from finiagg import aggregate_prediction, build_report
 
     def frac(num, den):
         fr = Fraction(num, den)
@@ -888,7 +910,7 @@ def test_report_accuracy_equals_a_recount_of_the_votes(tmp_path, rng):
         base = sum(row.count(lab) for row, lab in zip(rows, labels))
         want = {"clean_accuracy": frac(clean, len(rows)), "base_accuracy": frac(base, len(rows) * kd)}
         assert json.loads(out.read_text())["ensemble_stats"] == want, case
-        stats = ensemble_stats(votes_from_json(votes.read_text()))
+        stats = build_report(votes_from_json(votes.read_text()), 0).ensemble
         assert (stats.clean_accuracy, stats.base_accuracy) == (Fraction(clean, len(rows)),
                                                                Fraction(base, len(rows) * kd))
 

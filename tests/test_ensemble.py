@@ -11,9 +11,9 @@ from finiagg import (
     VoteMatrix,
     aggregate_prediction,
     build_partitions,
+    build_report,
     canonical_sort,
     collect_votes,
-    ensemble_stats,
     generate_offsets,
     predict,
     train,
@@ -21,7 +21,7 @@ from finiagg import (
     validate_dataset,
 )
 from finiagg.datamodel import Dataset
-from finiagg.errors import DataError, DimensionMismatch, EmptyTestSet, MissingLabels
+from finiagg.errors import DataError, DimensionMismatch, EmptyTestSet
 from finiagg.hashing import SpreadOffsets, spread_inverse
 
 MAJORITY = LearnerSpec("majority-label")
@@ -185,25 +185,24 @@ def _matrix(votes, labels, n_classes=2, d=1):
 
 def test_ensemble_stats_perfect():
     m = _matrix([[1, 1], [0, 0]], [1, 0])
-    stats = ensemble_stats(m)
+    stats = build_report(m, 0).ensemble
     assert stats.clean_accuracy == 1
     assert stats.base_accuracy == 1
 
 
 def test_ensemble_stats_tie_counts_for_the_smaller_index():
     m = _matrix([[0, 1]], [0])
-    stats = ensemble_stats(m)
+    stats = build_report(m, 0).ensemble
     assert stats.clean_accuracy == 1
     assert stats.base_accuracy == Fraction(1, 2)
 
 
 def test_ensemble_stats_requires_labels_and_rows():
-    with pytest.raises(MissingLabels):
-        ensemble_stats(_matrix([[0, 1]], None))
+    assert build_report(_matrix([[0, 1]], None), 0).ensemble is None
     config = AggregationConfig(k=2, d=1, seed=0, n_classes=2)
     empty = VoteMatrix((), config, SpreadOffsets((0,), 2), labels=())
     with pytest.raises(EmptyTestSet):
-        ensemble_stats(empty)
+        build_report(empty, 0)
 
 
 def test_parallel_training_matches_sequential():

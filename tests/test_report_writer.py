@@ -1,8 +1,9 @@
 """``certify`` and ``curve`` write the bytes of the per-point reference, byte for byte.
 
-``certify`` streams its curve from the curve's steps; ``reference_certify_outputs``
-builds the report as one ``json.dumps(indent=2)`` of a dict with a dict per
-point, and the CSV with an f-string per point.
+``certify`` streams its curve from the curve's steps and its ``--verbose``
+deltas from the kernel's loss histograms; ``reference_certify_outputs`` builds
+the report as one ``json.dumps(indent=2)`` of a dict with a dict per point and
+the deltas from margin tables, and the CSV with an f-string per point.
 """
 
 import json
@@ -16,6 +17,14 @@ from finiagg.certifier import certified_fraction_curve, certify_matrix
 from finiagg.cli import main, votes_from_json
 
 
+def _write_votes(tmp_path, obj: dict, labels, labelled: bool):
+    if labelled:
+        obj["labels"] = labels
+    path = tmp_path / "votes.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path, votes_from_json(path.read_text(encoding="utf-8"))
+
+
 def _vote_file(tmp_path, rng: random.Random, n_test: int, labelled: bool):
     """A random vote file; each row leans to one class, and about 30% of the labels miss it."""
     k, d = rng.randint(1, 8), rng.randint(1, 4)
@@ -27,11 +36,35 @@ def _vote_file(tmp_path, rng: random.Random, n_test: int, labelled: bool):
         labels.append(rng.randrange(n_classes) if rng.random() < 0.3 else favourite)
     obj = {"k": k, "d": d, "offsets": list(random_offsets(rng, k, d).offsets), "n_classes": n_classes,
            "votes": votes}
-    if labelled:
-        obj["labels"] = labels
-    path = tmp_path / "votes.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    return path, votes_from_json(path.read_text(encoding="utf-8"))
+    return _write_votes(tmp_path, obj, labels, labelled)
+
+
+def _paper_scale_file(tmp_path, rng: random.Random, labelled: bool):
+    """Three rows at k = 1,200, d = 16 and 10 classes, each voting for three classes.
+
+    Every row has classes without votes below and above its prediction, and
+    the last row's label is its runner-up, so a labelled file has a
+    mispredicted row.
+    """
+    k, d = 1200, 16
+    votes, labels = [], []
+    for low, middle, high in ((2, 5, 7), (1, 4, 8), (3, 6, 8)):
+        shares = {middle: 0.5, low: 0.3, high: 0.2}
+        votes.append(rng.choices(list(shares), weights=list(shares.values()), k=k * d))
+        labels.append(middle)
+    labels[-1] = max({low, high}, key=votes[-1].count)
+    obj = {"k": k, "d": d, "offsets": list(random_offsets(rng, k, d).offsets), "n_classes": 10,
+           "votes": votes}
+    return _write_votes(tmp_path, obj, labels, labelled)
+
+
+def _one_class_file(tmp_path, rng: random.Random, labelled: bool):
+    """A random-sized file of a single class, whose rows have no challengers."""
+    k, d = rng.randint(1, 8), rng.randint(1, 4)
+    n_test = rng.randint(1, 5)
+    obj = {"k": k, "d": d, "offsets": list(random_offsets(rng, k, d).offsets), "n_classes": 1,
+           "votes": [[0] * (k * d)] * n_test}
+    return _write_votes(tmp_path, obj, [0] * n_test, labelled)
 
 
 def _certify(tmp_path, votes, matrix, size, verbose: bool, stats: bool) -> None:
@@ -47,12 +80,21 @@ def _certify(tmp_path, votes, matrix, size, verbose: bool, stats: bool) -> None:
     assert curve.read_text(encoding="utf-8") == expected[1]
 
 
-@pytest.mark.parametrize("labelled", [True, False])
-@pytest.mark.parametrize("n_test", [1, 5, 97])
-def test_certify_and_curve_write_the_reference_bytes(tmp_path, n_test, labelled):
-    rng = random.Random(n_test * 2 + labelled)
-    for _ in range(3):
-        votes, matrix = _vote_file(tmp_path, rng, n_test, labelled)
+@pytest.mark.parametrize(
+    "rows, labelled",
+    [(rows, labelled) for rows in (1, 5, 97, "one-class") for labelled in (True, False)]
+    + [("paper-scale", True)],  # the reference's deltas take seconds at kd = 19,200
+)
+def test_certify_and_curve_write_the_reference_bytes(tmp_path, rows, labelled):
+    if rows == "paper-scale":
+        files = [_paper_scale_file(tmp_path, random.Random(11), labelled)]
+    elif rows == "one-class":
+        rng = random.Random(13 + labelled)
+        files = (_one_class_file(tmp_path, rng, labelled) for _ in range(3))
+    else:
+        rng = random.Random(rows * 2 + labelled)
+        files = (_vote_file(tmp_path, rng, rows, labelled) for _ in range(3))
+    for votes, matrix in files:
         kd = matrix.config.kd
         largest = max(c.fa_radius for c in certify_matrix(matrix))
         # 0, below the largest radius, kd (given and by default) and past kd
