@@ -4,9 +4,9 @@ Both built-in learners reduce a training subset to per-class label counts
 and feature sums, so a partition's statistics are shared by the ``d``
 classifiers that train on it: classifier ``i``'s statistics are the sum of
 those of partitions ``(i - r) mod kd`` over the offsets ``r``. This module
-folds training rows into (kd, C) label counts and (kd, C, F) feature sums,
-takes that circulant sum, and votes with the same decision rules as
-``learners``, in int64 arrays.
+parses a training CSV's body into int64 blocks of rows, folds them into
+(kd, C) label counts and (kd, C, F) feature sums, takes that circulant sum,
+and votes with the same decision rules as ``learners``, in int64 arrays.
 
 The class axis has one entry per label up to the largest training label,
 not ``n_classes``: a class without samples never wins. Every count, sum,
@@ -18,18 +18,21 @@ against; a test width unlike the training width raises ``DimensionMismatch``.
 
 from __future__ import annotations
 
+import csv
+import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DataError, DimensionMismatch
 from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
-_TRAIN_BLOCK = 1024  # training rows folded per array
 _TEST_BLOCK = 16  # test rows voted per (kd, 16) array
+_CSV_BLOCK = 1024  # training CSV lines parsed per int64 array
+# a training CSV body with any other character goes to the csv reader
+_CSV_BODY = re.compile(r"[0-9+\-,\n]*")
 
 
 def circulant_sum(values, shifts: Iterable[int], dtype):
@@ -63,14 +66,49 @@ class Statistics:
     max_label: int  # -1 without rows
 
 
-def partition_statistics(
-    rows: Iterable[Sequence[int]], kd: int, feature_dim: int, with_sums: bool
-) -> Statistics | None:
-    """Fold validated rows ``(label, f0, ..., f{F-1})`` into per-partition statistics.
+def _int64_blocks(text: str, start: int, feature_dim: int, n_classes: int | None):
+    """Yield the rows of ``text[start:]`` as int64 arrays ``(label, f0, ...)``, 1,024 lines each.
 
-    A row goes to partition ``sum(features) mod kd``, the split hash. Returns
-    None when a cell, a row sum or a partition sum may not fit in int64, or
-    the arrays cannot be allocated.
+    Raises an empty DataError, for the caller to hand the file to the
+    reference, on any character but digits, ``+``, ``-``, ``,`` and LF; on a
+    line longer than the csv field size limit; on a cell ``np.loadtxt``
+    refuses, which within those characters is any cell but ``[+-]?[0-9]+``
+    in int64; on a row not ``1 + feature_dim`` wide; on a negative cell;
+    and on a label at or past ``n_classes``. Blank lines are skipped, as the
+    csv reader's rows are.
+    """
+    if _CSV_BODY.match(text, start).end() < len(text):  # a match is 2-3x faster than a search
+        raise DataError
+    limit = csv.field_size_limit()
+    while start < len(text):
+        end = start
+        for _ in range(_CSV_BLOCK):
+            line_start, end = end, text.find("\n", end) + 1 or len(text)
+            if end - line_start > limit:  # the csv reader refuses any field this long
+                raise DataError
+        block, start = text[start:end], end
+        if block.isspace():  # only blank lines, which np.loadtxt warns about
+            continue
+        try:
+            rows = np.loadtxt(block.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError:
+            raise DataError from None
+        if rows.shape[1] != 1 + feature_dim or rows.min() < 0:
+            raise DataError
+        if n_classes is not None and int(rows[:, 0].max()) >= n_classes:
+            raise DataError
+        yield rows
+
+
+def partition_statistics(
+    blocks: Iterable[np.ndarray], kd: int, feature_dim: int, with_sums: bool
+) -> Statistics | None:
+    """Fold int64 blocks of validated rows ``(label, f0, ..., f{F-1})`` into per-partition statistics.
+
+    Each block is an (n, 1 + F) array of non-negative cells. A row goes to
+    partition ``sum(features) mod kd``, the split hash. Returns None when a
+    row sum or a partition sum may not fit in int64, or the arrays cannot be
+    allocated.
     """
     try:
         counts = np.zeros((kd, 1), np.int64)
@@ -78,13 +116,8 @@ def partition_statistics(
     except MemoryError:
         return None
     n_rows, max_cell, max_label = 0, 0, -1
-    rows = iter(rows)
-    while block := list(islice(rows, _TRAIN_BLOCK)):
-        try:
-            arr = np.array(block, dtype=np.int64)
-        except OverflowError:
-            return None
-        labels, features = arr[:, 0], arr[:, 1:]
+    for block in blocks:
+        labels, features = block[:, 0], block[:, 1:]
         n_rows += len(block)
         max_cell = max(max_cell, int(features.max()))
         # every row sum and partition sum is at most max(n_rows, F) * max_cell

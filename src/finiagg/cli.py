@@ -89,12 +89,12 @@ def read_test_csv(
     else:
         features = [tuple(r) for r in rows]
         labels = None
-    for idx, f in enumerate(features):
-        if len(f) != feature_dim:
-            raise DataError(f"{path}: row {idx} has {len(f)} features, expected {feature_dim}")
-        for col, v in enumerate(f):
-            if v < 0:
-                raise DataError(f"{path}: row {idx}: feature f{col} is negative")
+    try:
+        for idx, f in enumerate(features):
+            check_row(idx, 0, f, None, feature_dim)  # labels are checked once n_classes is known
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     return features, labels
 
 
@@ -318,13 +318,6 @@ def _matrix_from_args(args) -> VoteMatrix:
     return matrix
 
 
-def _checked_rows(rows, n_classes: int | None, feature_dim: int):
-    """Pass on rows ``(label, f0, ...)`` that keep the rules ``validate_dataset`` checks."""
-    for idx, row in enumerate(rows):
-        check_row(idx, row[0], row[1:], n_classes, feature_dim)
-        yield row
-
-
 def _labelled_test_set(path: str | Path, n_classes: int):
     """Read a test CSV whose labels, if any, lie in ``[0, n_classes)``."""
     features, labels = read_test_csv(path)
@@ -349,12 +342,13 @@ def _reference_matrix(kind: str, dataset: Dataset, features, labels, config, off
 
 
 def _front_end_statistics(args, kind: str, text: str):
-    """The training CSV's int64 partition statistics and class count, streamed from ``text``.
+    """The training CSV's int64 partition statistics and class count, parsed from ``text``.
 
     Returns None, before raising anything, for any training CSV or
     ``--k``/``--d`` that the reference would reject, so that the reference
     reports the first error in its own order; also None when the statistics
-    could leave int64 or cannot be allocated.
+    could leave int64 or cannot be allocated, and for any body
+    ``arrays._int64_blocks`` does not take.
     """
     if args.k < 1 or args.d < 1:
         return None
@@ -366,9 +360,12 @@ def _front_end_statistics(args, kind: str, text: str):
         feature_dim, labeled = _read_header(reader, args.dataset)
         if not labeled or feature_dim < 1:
             return None
-        rows = _checked_rows(_int_rows(reader, args.dataset), n_classes, feature_dim)
+        body = 0
+        for _ in range(reader.line_num):  # the lines the header record took
+            body = text.find("\n", body) + 1 or len(text)
+        blocks = arrays._int64_blocks(text, body, feature_dim, n_classes)
         stats = arrays.partition_statistics(
-            rows, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
+            blocks, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
         )
     except (csv.Error, DataError):
         return None

@@ -646,17 +646,18 @@ def test_streamed_training_csv_fails_like_the_reference(
 
 
 @pytest.mark.parametrize(
-    "test_csv, message",
-    [("label,f0,f1\n0,2,2\n\n1,8,x\n", "{test}: row 1 has a non-integer cell"),
-     ("label,f0,f1\n0,2,2\n\n1,8,-8\n", "{test}: row 1: feature f1 is negative"),
-     ("label,f0,f1\n0,2,2\n\n1,8\n", "{test}: row 1 has 1 features, expected 2"),
-     ("f0,f1\n\n2,2\n\n8,x\n", "{test}: row 1 has a non-integer cell")],
+    "test_csv, error, message",
+    [("label,f0,f1\n0,2,2\n\n1,8,x\n", "DataError", "{test}: row 1 has a non-integer cell"),
+     ("label,f0,f1\n0,2,2\n\n1,8,-8\n", "NegativeFeature", "{test}: row 1: feature f1 is negative (-8)"),
+     ("label,f0,f1\n0,2,2\n\n1,8\n", "RaggedRow", "{test}: row 1: expected 2 feature columns, got 1"),
+     ("f0,f1\n\n2,2\n\n8,x\n", "DataError", "{test}: row 1 has a non-integer cell")],
 )
-def test_test_csv_rows_are_numbered_without_blank_lines(tmp_path, train_file, test_csv, message, capsys):
+def test_test_csv_rows_are_numbered_without_blank_lines(tmp_path, train_file, test_csv, error, message, capsys):
     test = tmp_path / "blank.csv"
     test.write_text(test_csv, encoding="utf-8")
     assert _run("certify", "--dataset", train_file, "--test", test) == 2
-    assert json.loads(capsys.readouterr().err)["message"] == message.format(test=test)
+    want = {"error": error, "message": message.format(test=test), "exit_code": 2}
+    assert capsys.readouterr().err == json.dumps(want) + "\n"
 
 
 def test_training_csv_that_is_a_directory_is_unreadable(tmp_path, test_file, capsys):

@@ -12,17 +12,25 @@ Sizes stay small: kd <= 64, at most 20 rows, budgets and attack sizes up to
 100, and the audit limits at or below their defaults. The only large sizes
 are class counts and labels from 2^40 up and the literal 10^11, which the
 allocator refuses at once; a size it would grant is never drawn.
+
+The last tests hold the training CSV's int64 block reader to the csv reader:
+``certify --dataset`` with and without the front end must write the same
+bytes and exit with the same code, on generated files, on files of more than
+one 1,024-line block with a defect in a later one, and on pinned files.
 """
 
 import contextlib
 import io
 import json
+import random
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from conftest import reference_certify_outputs
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finiagg import cli
 from finiagg.cli import main
@@ -292,3 +300,112 @@ def test_argv_never_escapes(command, argv):
         ).encode("utf-8"),
     }
     _check([command, *argv], files)
+
+
+# --- the training CSV's int64 block reader against the csv reader -----------
+
+
+def _certify_twice(train: bytes, argv, width: int = 2) -> bool:
+    """Run ``certify`` on ``train`` with and without the front end's statistics; return whether it took them.
+
+    Both runs must give the same exit code, stdout, stderr and written files.
+    Any warning raised in ``main`` is an error, so none can reach stderr.
+    """
+    header = ",".join(["label"] + [f"f{i}" for i in range(width)])
+    test = f"{header}\n" + "".join(f"{c},{','.join([str(3 * c + 1)] * width)}\n" for c in range(3))
+    front_end = cli._front_end_statistics
+    taken = []  # the normal run's statistics, if it asked for them
+
+    def record(*args):
+        taken.append(front_end(*args))
+        return taken[-1]
+
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "train.csv").write_bytes(train)
+        (Path(tmp) / "test.csv").write_text(test, encoding="utf-8")
+        argv = [str(Path(tmp) / a) if a in FILES else a for a in argv]
+        for statistics in (record, lambda *args: None):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with mock.patch.object(cli, "_front_end_statistics", statistics):
+                    code = main(argv)
+            written = {}
+            for name in ("out.json", "curve.csv", "saved.json"):
+                path = Path(tmp) / name
+                if path.exists():
+                    written[name] = path.read_bytes()
+                    path.unlink()
+            results.append((code, out.getvalue(), err.getvalue(), written))
+    assert results[0] == results[1], argv
+    return bool(taken) and taken[0] is not None
+
+
+PARITY_ARGV = ["certify", "--dataset", "train.csv", "--test", "test.csv"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_the_csv_reader(data):
+    broken = data.draw(st.sampled_from(["none", "train", "train", "options"]))
+    width = data.draw(st.integers(1, 3))
+    train = data.draw(csv_files(True, width, 20, broken == "train"))
+    opts = data.draw(options("certify", broken == "options"))
+    # the front end keeps no counter per class, so it runs where the reference cannot (exit 3)
+    assume("--n-classes" not in opts or int(opts[opts.index("--n-classes") + 1]) < 2**40)
+    _certify_twice(train, PARITY_ARGV + opts, width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_the_csv_reader_past_the_first_block(data):
+    width = data.draw(st.integers(1, 3))
+    header, _, body = data.draw(csv_files(True, width, 20, True)).partition(b"\n")
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    lines = data.draw(st.integers(1024, 2100))  # valid lines before the drawn body and its defect
+    filler = "".join(",".join(str(rng.randrange(c)) for c in [4] + [10] * width) + "\n" for _ in range(lines))
+    train = header + b"\n" + filler.encode("ascii") + body
+    _certify_twice(train, PARITY_ARGV + data.draw(options("certify", False)), width)
+
+
+_ROWS = "".join(f"{i % 3},{i % 7},{i % 5}\n" for i in range(1024))  # exactly one block
+PINNED = {  # id: (training CSV, extra argv, whether the front end takes it)
+    # a cell in int64, but max(rows, F) * max cell, the bound on sums, is not
+    "2^63-1": ("label,f0,f1\n0,1,9223372036854775807\n", [], False),
+    "2^62": ("label,f0,f1\n0,1,4611686018427387904\n", [], False),
+    "2^62-1": ("label,f0,f1\n0,1,4611686018427387903\n", [], True),
+    "2^63": ("label,f0,f1\n0,1,2\n1,9223372036854775808,0\n", [], False),
+    "signs-and-zeros": ("label,f0,f1\n0,-0,2\n+1,+0,007\n", [], True),
+    "crlf": ("label,f0,f1\r\n0,1,2\r\n1,3,4\r\n", [], True),  # read as LF, by both readers
+    "cr": ("label,f0,f1\n0,1,2\r1,3,4\n", [], True),
+    "bom-header": ("\ufefflabel,f0,f1\n0,1,2\n", [], False),
+    "bom-body": ("label,f0,f1\n\ufeff0,1,2\n", [], False),
+    "quoted-cell": ('label,f0,f1\n0,"1",2\n', [], False),
+    "space-in-cell": ("label,f0,f1\n0, 1,2\n", [], False),  # np.loadtxt would strip it
+    "comment": ("label,f0,f1\n0,1,2#3\n", [], False),  # np.loadtxt would drop it
+    "quoted-header": ('"label","f0","f1"\n0,1,2\n', [], True),
+    "header-over-two-lines": ('label,f0,"f1\n"\n0,1,2\n', [], True),
+    "header-only": ("label,f0,f1\n", [], False),
+    "header-only-with-classes": ("label,f0,f1\n", ["--n-classes", "3"], True),
+    "field-past-csv-limit": ("label,f0,f1\n0,1," + "0" * 140_000 + "2\n", [], False),
+    "blank-last-block": ("label,f0,f1\n" + _ROWS + "\n" * 5, [], True),
+    "blank-first-blocks": ("label,f0,f1\n" + "\n" * 2048 + _ROWS, [], True),
+    "no-final-lf": ("label,f0,f1\n" + _ROWS + "1,2,3", [], True),
+    "later-cell": ("label,f0,f1\n" + _ROWS + "1,2,x\n", [], False),
+    "later-sign": ("label,f0,f1\n" + _ROWS + "1,2,+-3\n", [], False),
+    "later-ragged": ("label,f0,f1\n" + _ROWS + "1,2\n", [], False),
+    "later-width": ("label,f0,f1\n" + _ROWS + "1,2,3,4\n" * 3, [], False),  # a second block one cell wider
+    "later-label": ("label,f0,f1\n" + _ROWS + "3,2,2\n", ["--n-classes", "3"], False),
+    "later-negative-feature": ("label,f0,f1\n" + _ROWS + "1,2,-1\n", [], False),
+    "later-negative-label": ("label,f0,f1\n" + _ROWS + "-1,2,1\n", [], False),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_block_reader_matches_the_csv_reader_on_pinned_files(case):
+    train, extra, taken = PINNED[case]
+    for learner in ("centroid", "majority"):
+        argv = ["certify", "--dataset", "train.csv", "--test", "test.csv", "--k", "3", "--d", "2",
+                "--learner", learner, "--save-votes", "saved.json", *extra]
+        assert _certify_twice(train.encode("utf-8"), argv) == taken
