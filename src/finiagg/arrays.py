@@ -1,4 +1,4 @@
-"""Exact int64 array front end: the ensemble's votes from per-partition statistics.
+"""Exact array front end: the ensemble's votes from per-partition statistics.
 
 Both built-in learners reduce a training subset to per-class label counts
 and feature sums, so a partition's statistics are shared by the ``d``
@@ -6,12 +6,12 @@ classifiers that train on it: classifier ``i``'s statistics are the sum of
 those of partitions ``(i - r) mod kd`` over the offsets ``r``. This module
 parses a training CSV's body into int64 blocks of rows, folds them into
 (kd, C) label counts and (kd, C, F) feature sums, takes that circulant sum,
-and votes with the same decision rules as ``learners``, in int64 arrays.
+and votes with the same decision rules as ``learners``, in NumPy arrays.
 
 The class axis has one entry per label up to the largest training label,
-not ``n_classes``: a class without samples never wins. Every count, sum,
-distance and product is kept below 2^63; an input that could leave that
-range gets ``None``, and callers fall back to ``train_ensemble`` and
+not ``n_classes``: a class without samples never wins. Sums and products are
+int64 while their bounds stay below 2^63 and Python ints (object arrays) past
+it, so votes are exact at any magnitude, as in ``train_ensemble`` and
 ``collect_votes``, the readable reference these functions are checked
 against; a test width unlike the training width raises ``DimensionMismatch``.
 """
@@ -19,18 +19,20 @@ against; a test width unlike the training width raises ``DimensionMismatch``.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .datamodel import LabeledSample
 from .errors import DataError, DimensionMismatch
 from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
 _TEST_BLOCK = 16  # test rows voted per (kd, 16) array
-_CSV_BLOCK = 1024  # training CSV lines parsed per int64 array
+_CSV_BLOCK = 1024  # training CSV lines, or parsed rows, per block
 # a training CSV body with any other character goes to the csv reader
 _CSV_BODY = re.compile(r"[0-9+\-,\n]*")
 
@@ -69,8 +71,8 @@ class Statistics:
 def _int64_blocks(text: str, start: int, feature_dim: int, n_classes: int | None):
     """Yield the rows of ``text[start:]`` as int64 arrays ``(label, f0, ...)``, 1,024 lines each.
 
-    Raises an empty DataError, for the caller to hand the file to the
-    reference, on any character but digits, ``+``, ``-``, ``,`` and LF; on a
+    Raises an empty DataError, for the caller to hand the file to the csv
+    reader, on any character but digits, ``+``, ``-``, ``,`` and LF; on a
     line longer than the csv field size limit; on a cell ``np.loadtxt``
     refuses, which within those characters is any cell but ``[+-]?[0-9]+``
     in int64; on a row not ``1 + feature_dim`` wide; on a negative cell;
@@ -100,43 +102,62 @@ def _int64_blocks(text: str, start: int, feature_dim: int, n_classes: int | None
         yield rows
 
 
+def _sample_blocks(samples: Iterable[LabeledSample]):
+    """Yield the rows ``(label, f0, ...)`` of ``samples`` 1,024 at a time, in int64 or, past it, object arrays."""
+    samples = iter(samples)
+    while chunk := [(s.label, *s.features) for s in itertools.islice(samples, _CSV_BLOCK)]:
+        try:
+            yield np.array(chunk, np.int64)
+        except OverflowError:
+            yield np.array(chunk, object)  # holds the rows' own Python ints
+
+
+def _grow(values, n_classes: int):
+    """``values`` with zeros appended along the class axis (1) up to ``n_classes``."""
+    # np.pad would fill an object array with np.int64 zeros, which wrap past 2^63
+    out = np.zeros((len(values), n_classes, *values.shape[2:]), values.dtype)
+    out[:, : values.shape[1]] = values
+    return out
+
+
 def partition_statistics(
     blocks: Iterable[np.ndarray], kd: int, feature_dim: int, with_sums: bool
 ) -> Statistics | None:
-    """Fold int64 blocks of validated rows ``(label, f0, ..., f{F-1})`` into per-partition statistics.
+    """Fold blocks of validated rows ``(label, f0, ..., f{F-1})`` into per-partition statistics.
 
-    Each block is an (n, 1 + F) array of non-negative cells. A row goes to
-    partition ``sum(features) mod kd``, the split hash. Returns None when a
-    row sum or a partition sum may not fit in int64, or the arrays cannot be
-    allocated.
+    Each block is an (n, 1 + F) array of non-negative cells, int64 or, from
+    ``_sample_blocks``, Python ints. A row goes to partition ``sum(features) mod
+    kd``, the split hash. Row sums and feature sums are int64 until one of
+    them could reach 2^63, and Python ints from that block on. Returns None
+    when the arrays cannot be allocated.
     """
     try:
         counts = np.zeros((kd, 1), np.int64)
         sums = np.zeros((kd, 1, feature_dim), np.int64) if with_sums else None
-    except MemoryError:
-        return None
-    n_rows, max_cell, max_label = 0, 0, -1
-    for block in blocks:
-        labels, features = block[:, 0], block[:, 1:]
-        n_rows += len(block)
-        max_cell = max(max_cell, int(features.max()))
-        # every row sum and partition sum is at most max(n_rows, F) * max_cell
-        if max(n_rows, feature_dim) * max_cell >= INT64_LIMIT:
-            return None
-        max_label = max(max_label, int(labels.max()))
-        grow = max_label + 1 - counts.shape[1]
-        if grow > 0:
-            try:
-                counts = np.pad(counts, ((0, 0), (0, grow)))
+        n_rows, max_cell, max_label = 0, 0, -1
+        for block in blocks:
+            labels, features = block[:, 0], block[:, 1:]
+            n_rows += len(block)
+            max_cell = max(max_cell, int(features.max()))
+            # every row sum and partition sum is at most max(n_rows, F) * max_cell
+            if max(n_rows, feature_dim) * max_cell >= INT64_LIMIT:
+                features = features.astype(object, copy=False)
+                if sums is not None and sums.dtype != object:
+                    sums = sums.astype(object)
+            max_label = max(max_label, int(labels.max()))
+            if max_label >= counts.shape[1]:
+                counts = _grow(counts, max_label + 1)
                 if sums is not None:
-                    sums = np.pad(sums, ((0, 0), (0, grow), (0, 0)))
-            except (MemoryError, ValueError):
-                return None
-        n_classes = counts.shape[1]
-        key = features.sum(axis=1) % kd * n_classes + labels
-        counts += np.bincount(key, minlength=counts.size).reshape(counts.shape)
-        if sums is not None:
-            np.add.at(sums.reshape(-1, feature_dim), key, features)
+                    sums = _grow(sums, max_label + 1)
+            n_classes = counts.shape[1]
+            # both no-ops on int64; every label now indexes the class axis
+            key = (features.sum(axis=1) % kd).astype(np.int64, copy=False) * n_classes
+            key += labels.astype(np.int64, copy=False)
+            counts += np.bincount(key, minlength=counts.size).reshape(counts.shape)
+            if sums is not None:
+                np.add.at(sums.reshape(-1, feature_dim), key, features)
+    except (MemoryError, ValueError):  # NumPy's refusals of a size
+        return None
     return Statistics(counts, sums, max_label)
 
 
@@ -146,24 +167,23 @@ def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Sta
     sums = partitions.sums
     return Statistics(
         circulant_sum(partitions.counts, shifts, np.int64),
-        None if sums is None else circulant_sum(sums, shifts, np.int64),
+        None if sums is None else circulant_sum(sums, shifts, sums.dtype),
         partitions.max_label,
     )
 
 
-def centroid_votes(
-    classifiers: Statistics, test_inputs: Sequence[Sequence[int]]
-) -> list[list[int]] | None:
+def centroid_votes(classifiers: Statistics, test_inputs: Sequence[Sequence[int]]) -> list[list[int]]:
     """Votes ``[t][i]`` of the nearest-centroid models on every test input.
 
     The squared distance of ``x`` to class c's centroid ``s_c / n_c`` is
     ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``. A tournament over the
     classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``
     and skips absent classes, so ties stay with the smaller index and a
-    model without samples votes 0. Returns None when some product could reach 2^63,
-    judged by ``(max n * max(x, s))^2 * F * (max n)^2``. A test input of
-    another width than the training features raises ``DimensionMismatch``,
-    as ``NearestCentroidModel.predict`` does, unless no model has samples.
+    model without samples votes 0. It runs in int64 while every product stays
+    below 2^63, judged by ``(max n * max(x, s))^2 * F * (max n)^2``, and in
+    Python ints otherwise. A test input of another width than the training
+    features raises ``DimensionMismatch``, as ``NearestCentroidModel.predict``
+    does, unless no model has samples.
     """
     counts, sums = classifiers.counts, classifiers.sums
     kd, n_classes, feature_dim = sums.shape
@@ -174,16 +194,17 @@ def centroid_votes(
             raise DimensionMismatch(f"expected {feature_dim} features, got {len(x)}")
     max_n = int(counts.max())
     max_value = max(int(sums.max()), max(map(max, test_inputs)))
-    if (max_n * max_value) ** 2 * feature_dim * max_n**2 >= INT64_LIMIT:
-        return None
-    test = np.array(test_inputs, dtype=np.int64)
+    dtype = np.int64 if (max_n * max_value) ** 2 * feature_dim * max_n**2 < INT64_LIMIT else object
+    counts, sums = counts.astype(dtype, copy=False), sums.astype(dtype, copy=False)
+    test = np.array(test_inputs, dtype=dtype)
     den = counts * counts
     sq_sums = np.einsum("icf,icf->ic", sums, sums)
     votes = np.empty((len(test), kd), np.int64)
     for start in range(0, len(test), _TEST_BLOCK):
         x = test[start : start + _TEST_BLOCK].T  # (F, B)
         xx = (x * x).sum(axis=0)
-        best = best_num = best_den = np.zeros((kd, x.shape[1]), np.int64)
+        best = np.zeros((kd, x.shape[1]), np.int64)
+        best_num = best_den = np.zeros((kd, x.shape[1]), dtype)
         have = np.zeros((kd, 1), bool)
         for c in range(n_classes):
             n_c, den_c = counts[:, c : c + 1], den[:, c : c + 1]

@@ -35,7 +35,7 @@ from .certifier import (
     _certified_accuracy, _row_losses, _shared_set_size, build_report, fa_radius, margin_tables,
 )
 from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
-from .ensemble import VoteMatrix, collect_votes, train_ensemble
+from .ensemble import VoteMatrix
 from .errors import (
     DataError,
     FiniteAggError,
@@ -149,13 +149,6 @@ def _int_rows(reader, path: str | Path):
         if not all(map(_INT_CELL.fullmatch, cells)):
             raise DataError(f"{path}: row {idx} has a non-integer cell")
         yield tuple(map(int, cells))
-
-
-def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
-    lines = ["label," + ",".join(f"f{i}" for i in range(dataset.feature_dim))]
-    for s in dataset.samples:
-        lines.append(",".join(str(v) for v in (s.label, *s.features)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def votes_to_json(matrix: VoteMatrix) -> str:
@@ -287,32 +280,32 @@ def _matrix_from_args(args) -> VoteMatrix:
     if args.dataset is None or args.test is None:
         raise UsageError("need either --votes or both --dataset and --test")
     kind = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner)).kind
-    # read each CSV once: a pipe or FIFO cannot be read again when the reference takes over
+    # read each CSV once: a pipe or FIFO cannot be read again when the csv reader takes over
     text = _read_text(args.dataset)
     stats, n_classes = _front_end_statistics(args, kind, text) or (None, None)
-    dataset = None
     if stats is None:
         dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
         n_classes = dataset.n_classes
-    features, labels, config, offsets = _test_set_and_layout(args, n_classes)
-    matrix = None
-    if stats is not None:
-        from . import arrays
+    # the test CSV, then the layout, both checked before the csv reader's rows are folded
+    features, labels = _labelled_test_set(args.test, n_classes)
+    config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
+    offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
+    from . import arrays
 
-        # rebound, so the partition statistics are freed before the models vote
-        stats = arrays.classifier_statistics(stats, offsets)
-        if kind == MAJORITY_LABEL:
-            votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
-        else:  # None when a product could reach 2^63
-            votes = arrays.centroid_votes(stats, features)
-        if votes is not None:
-            labels = tuple(labels) if labels is not None else None
-            matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
-        del stats, votes  # freed before the matrix is written or certified
-    if matrix is None:
-        if dataset is None:  # the statistics fit in int64 but the votes may not
-            dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
-        matrix = _reference_matrix(kind, dataset, features, labels, config, offsets)
+    if stats is None:  # folded here, so a refused allocation comes after every input error
+        blocks = arrays._sample_blocks(dataset.samples)
+        stats = arrays.partition_statistics(blocks, config.kd, dataset.feature_dim, kind == NEAREST_CENTROID)
+        if stats is None:
+            raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")
+    # rebound, so the partition statistics are freed before the models vote
+    stats = arrays.classifier_statistics(stats, offsets)
+    if kind == MAJORITY_LABEL:
+        votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
+    else:
+        votes = arrays.centroid_votes(stats, features)
+    labels = tuple(labels) if labels is not None else None
+    matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
+    del stats, votes  # freed before the matrix is written or certified
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix
@@ -327,28 +320,14 @@ def _labelled_test_set(path: str | Path, n_classes: int):
     return features, labels
 
 
-def _test_set_and_layout(args, n_classes: int):
-    """Read the test CSV and draw the offsets, checking in the order the reference does."""
-    features, labels = _labelled_test_set(args.test, n_classes)
-    config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
-    offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
-    return features, labels, config, offsets
-
-
-def _reference_matrix(kind: str, dataset: Dataset, features, labels, config, offsets) -> VoteMatrix:
-    """Train every model on its pooled partitions and evaluate it on every test input."""
-    models = train_ensemble(dataset, config, LearnerSpec(kind), offsets)
-    return collect_votes(models, features, config, offsets, labels)
-
-
 def _front_end_statistics(args, kind: str, text: str):
-    """The training CSV's int64 partition statistics and class count, parsed from ``text``.
+    """The training CSV's partition statistics and class count, folded from ``arrays._int64_blocks``.
 
     Returns None, before raising anything, for any training CSV or
-    ``--k``/``--d`` that the reference would reject, so that the reference
-    reports the first error in its own order; also None when the statistics
-    could leave int64 or cannot be allocated, and for any body
-    ``arrays._int64_blocks`` does not take.
+    ``--k``/``--d`` that the ``csv`` reader's path rejects, for any body the
+    block reader does not take, and when the statistics cannot be allocated.
+    The caller then parses ``text`` with the ``csv`` reader, which reports
+    the first error in its own order, and folds its rows.
     """
     if args.k < 1 or args.d < 1:
         return None

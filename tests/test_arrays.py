@@ -1,4 +1,4 @@
-"""The int64 array front end of ``--dataset`` runs against train_ensemble + collect_votes."""
+"""The array front end of ``--dataset`` runs against train_ensemble + collect_votes."""
 
 import random
 import tempfile
@@ -20,7 +20,7 @@ from finiagg import (
     validate_dataset,
 )
 from finiagg import cli
-from finiagg.arrays import circulant_sum
+from finiagg.arrays import _sample_blocks, circulant_sum, partition_statistics
 from finiagg.hashing import SpreadOffsets
 
 LEARNERS = {"majority": "majority-label", "centroid": "nearest-centroid"}
@@ -49,7 +49,7 @@ def _write_csv(path: Path, rows, width: int, labeled: bool) -> None:
 
 
 def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
-    """Votes that ``--save-votes`` writes, and whether the reference path made them."""
+    """Votes that ``--save-votes`` writes, and whether the csv reader parsed the training CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_csv(tmp / "train.csv", train_rows, width, True)
@@ -59,10 +59,10 @@ def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
                 "--save-votes", tmp / "votes.json", "--out", tmp / "curve.csv"]
         if n_classes is not None:
             argv += ["--n-classes", n_classes]
-        with mock.patch.object(cli, "_reference_matrix", wraps=cli._reference_matrix) as reference:
+        with mock.patch.object(cli, "_dataset_from_csv", wraps=cli._dataset_from_csv) as csv_reader:
             assert cli.main([str(a) for a in argv]) == 0
         matrix = cli.load_votes(tmp / "votes.json")
-        return matrix.votes, reference.called
+        return matrix.votes, csv_reader.called
 
 
 def _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
@@ -148,9 +148,9 @@ def test_front_end_votes_equal_the_reference(case):
         assert fits
     if side == "past" and any(v for row in train_rows for v in row[1:]):
         assert not fits
-    got, took_reference = _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
+    got, took_csv_reader = _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
     assert got == want
-    assert took_reference == (not fits)
+    assert took_csv_reader == any(v >= LIMIT for row in train_rows for v in row[1:])
 
 
 def test_front_end_votes_equal_the_reference_on_criterion_7_workload():
@@ -166,6 +166,44 @@ def test_front_end_votes_equal_the_reference_on_criterion_7_workload():
     for d in (1, 2, 4):
         for learner in LEARNERS:
             args = (train_rows, test_inputs, 2, 10, d, 2, learner, 3)
-            got, took_reference = _cli_votes(*args)
-            assert not took_reference
+            got, took_csv_reader = _cli_votes(*args)
+            assert not took_csv_reader
             assert got == _reference(*args)[0]
+
+
+def _assert_exact_python_int_sums(stats, rows, kd):
+    """Every feature sum in ``stats`` is a Python int, equal to the sum of the rows' cells."""
+    n_classes = 1 + max(row[0] for row in rows)
+    want = [[[0] * (len(rows[0]) - 1) for _ in range(n_classes)] for _ in range(kd)]
+    for label, *features in rows:
+        for f, v in enumerate(features):
+            want[sum(features) % kd][label][f] += v
+    assert stats.sums.dtype == object
+    assert all(type(v) is int for v in stats.sums.flat)
+    assert stats.sums.tolist() == want
+
+
+def test_sums_switch_to_python_ints_mid_stream_and_then_the_class_axis_grows(tmp_path):
+    # one block of small cells and labels 0-2, then label 5 with two cells of 2^62 + 1 in one
+    # partition: the second block makes the sums Python ints, then adds classes 3-5
+    big, kd = 2**62 + 1, 6
+    rows = [(i % 3, i % 7, i % 5) for i in range(1024)] + [(5, big, 0), (4, 1, 2), (5, big, 0)]
+    blocks = [np.array(rows[:1024], np.int64), np.array(rows[1024:], np.int64)]
+    stats = partition_statistics(blocks, kd, 2, True)
+    _assert_exact_python_int_sums(stats, rows, kd)
+    assert stats.sums[big % kd, 5].tolist() == [2 * big, 0]  # past int64
+    # the csv reader's rows, with a cell past int64 in the second block, fold the same way
+    past = [*rows, (4, 2**64, 0)]
+    stats = partition_statistics(_sample_blocks(validate_dataset(past).samples), kd, 2, True)
+    _assert_exact_python_int_sums(stats, past, kd)
+
+    test_inputs = [(big, 0), (1, 2), (0, 0)]
+    _write_csv(tmp_path / "train.csv", rows, 2, True)
+    _write_csv(tmp_path / "test.csv", test_inputs, 2, False)
+    for learner in LEARNERS:
+        args = ["certify", "--dataset", tmp_path / "train.csv", "--test", tmp_path / "test.csv",
+                "--k", 3, "--d", 2, "--learner", learner, "--save-votes", tmp_path / "votes.json",
+                "--out", tmp_path / "report.json"]
+        assert cli.main([str(a) for a in args]) == 0
+        got = cli.load_votes(tmp_path / "votes.json").votes
+        assert got == _reference(rows, test_inputs, 2, 3, 2, 0, learner, None)[0]

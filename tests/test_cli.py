@@ -9,7 +9,6 @@ from finiagg.cli import (
     read_dataset_csv,
     votes_from_json,
     votes_to_json,
-    write_dataset_csv,
 )
 
 TRAIN_CSV = """label,f0,f1
@@ -103,8 +102,10 @@ def test_vote_matrix_json_round_trips_bit_exactly(tmp_path, train_file, test_fil
 
 def test_dataset_csv_round_trips_bit_exactly(tmp_path, train_file):
     ds = read_dataset_csv(train_file)
+    lines = ["label," + ",".join(f"f{i}" for i in range(ds.feature_dim))]
+    lines += [",".join(map(str, (s.label, *s.features))) for s in ds.samples]
     out = tmp_path / "echo.csv"
-    write_dataset_csv(out, ds)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert out.read_text(encoding="utf-8") == TRAIN_CSV
     assert read_dataset_csv(out) == ds
 
@@ -678,19 +679,13 @@ def test_empty_training_csv_with_n_classes_votes_class_zero(tmp_path, test_file)
 
 
 def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_file, capsys):
-    from unittest import mock
-
-    from finiagg import cli
-
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("f0\n2\n8\n", encoding="utf-8")
     argv = ("certify", "--dataset", train_file, "--test", narrow, "--k", 3, "--d", 2)
     want = {"error": "DimensionMismatch", "message": "expected 2 features, got 1", "exit_code": 2}
-    # the front end raises the mismatch itself: the reference would need n_classes counters
+    # the front end raises the mismatch itself, also where no model could hold n_classes counters
     for classes in ((), ("--n-classes", 2**40)):
-        with mock.patch.object(cli, "_reference_matrix") as reference:
-            assert _run(*argv, *classes, "--learner", "centroid") == 2
-        assert not reference.called
+        assert _run(*argv, *classes, "--learner", "centroid") == 2
         assert capsys.readouterr().err == json.dumps(want) + "\n"
     assert _run(*argv, "--learner", "majority", "--out", tmp_path / "r.json") == 0
 
@@ -718,12 +713,19 @@ def test_unreadable_vote_file_text_is_a_data_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
 
+# a cell past int64, which the block reader refuses and the csv reader reads
+HUGE_CELL_CSV = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n")
+
+
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
-def test_dataset_runs_size_the_class_axis_from_the_labels(tmp_path, train_file, test_file, learner):
+@pytest.mark.parametrize("train_csv", [TRAIN_CSV, HUGE_CELL_CSV], ids=["int64", "past-int64"])
+def test_dataset_runs_size_the_class_axis_from_the_labels(tmp_path, test_file, learner, train_csv):
+    train = tmp_path / "train.csv"
+    train.write_text(train_csv, encoding="utf-8")
     reports = []
     for n_classes in (2**40, 4):  # 4 = largest label + 2
         out = tmp_path / f"{n_classes}.json"
-        assert _run("certify", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2,
+        assert _run("certify", "--dataset", train, "--test", test_file, "--k", 3, "--d", 2,
                     "--learner", learner, "--n-classes", n_classes, "--out", out) == 0
         reports.append(json.loads(out.read_text()))
     wide, narrow = reports
@@ -735,16 +737,42 @@ def test_dataset_runs_size_the_class_axis_from_the_labels(tmp_path, train_file, 
 def test_training_references_exit_three_when_classes_cannot_be_allocated(
     tmp_path, train_file, test_file, n_classes, capsys
 ):
-    # cells past int64 send certify to the reference, which trains with n_classes counters
+    # ia trains with the reference learners, which hold n_classes counters per model
+    assert _run("ia", "--dataset", train_file, "--test", test_file, "--k", 2, "--n-classes", n_classes) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "LimitError"
+
+
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+def test_dataset_runs_past_64_bit_class_indices_exit_three(tmp_path, train_file, test_file, learner, capsys):
+    # the models size their class axis from the labels; the votes' class indices cannot be held
     huge = tmp_path / "huge.csv"
-    huge.write_text(TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n"), encoding="utf-8")
-    for argv in (("ia", "--dataset", train_file), ("certify", "--dataset", huge, "--learner", "majority"),
-                 ("certify", "--dataset", huge, "--learner", "centroid")):
-        assert _run(*argv, "--test", test_file, "--k", 2, "--n-classes", n_classes) == 3, argv
+    huge.write_text(HUGE_CELL_CSV, encoding="utf-8")
+    n_classes = 2**63 + 1
+    want = {"error": "LimitError", "exit_code": 3,
+            "message": f"class indices up to {n_classes - 1} do not fit in a 64-bit integer"}
+    for train in (train_file, huge):
+        assert _run("certify", "--dataset", train, "--test", test_file, "--k", 2,
+                    "--learner", learner, "--n-classes", n_classes) == 3, train
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "LimitError"
+        assert json.loads(err) == want
+
+
+def test_statistics_that_cannot_be_allocated_exit_three(tmp_path, train_file, test_file, capsys):
+    from unittest import mock
+
+    from finiagg import arrays
+
+    msg = "the per-class statistics of 6 partitions do not fit in memory"
+    with mock.patch.object(arrays, "partition_statistics", return_value=None):
+        assert _run("certify", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "LimitError", "message": msg, "exit_code": 3}
 
 
 def test_certify_counts_classes_beyond_kd_without_a_counter_per_class(tmp_path):
@@ -772,11 +800,10 @@ def test_certify_counts_classes_beyond_kd_without_a_counter_per_class(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
 def test_training_csv_in_a_pipe_is_read_once(tmp_path, test_file, learner, capsys):
-    # a cell past int64 sends the run to the reference, a bad row to the reference's error;
-    # either must see the whole pipe, which only the first reader gets
-    past = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n")
+    # a cell past int64 and a bad row each send the run to the csv reader,
+    # which must see the whole pipe, which only the first reader gets
     bad = TRAIN_CSV.replace("1,8,7\n", "1,8,x\n")
-    for content in (TRAIN_CSV, past, bad):
+    for content in (TRAIN_CSV, HUGE_CELL_CSV, bad):
         file = tmp_path / "train.csv"
         file.write_text(content, encoding="utf-8")
         read_end, write_end = os.pipe()
@@ -827,9 +854,9 @@ def _pipe(content: str) -> int:
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
-def test_csvs_in_pipes_are_read_once_when_the_reference_votes(tmp_path, learner, capsys):
-    # a training cell whose centroid products may pass 2^63 hands the votes to the reference
-    # after both CSVs were read; a test width unlike the training width is an error either way
+def test_csvs_in_pipes_are_read_once_when_the_votes_pass_int64(tmp_path, learner, capsys):
+    # a training cell whose centroid products may pass 2^63 votes in Python ints after both
+    # CSVs were read; a test width unlike the training width is an error either way
     big = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**40}\n")
     for train_csv, test_csv in ((TRAIN_CSV, "f0\n2\n"), (big, UNLABELED_CSV), (TRAIN_CSV, TEST_CSV)):
         files = (tmp_path / "train.csv", tmp_path / "test.csv")

@@ -14,7 +14,7 @@ are class counts and labels from 2^40 up and the literal 10^11, which the
 allocator refuses at once; a size it would grant is never drawn.
 
 The last tests hold the training CSV's int64 block reader to the csv reader:
-``certify --dataset`` with and without the front end must write the same
+``certify --dataset`` with and without the block reader must write the same
 bytes and exit with the same code, on generated files, on files of more than
 one 1,024-line block with a defect in a later one, and on pinned files.
 """
@@ -30,7 +30,7 @@ from unittest import mock
 
 import pytest
 from conftest import reference_certify_outputs
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finiagg import cli
 from finiagg.cli import main
@@ -170,7 +170,7 @@ def csv_files(draw, labelled: bool, width: int, max_rows: int, broken: bool) -> 
     if labelled:
         header = ["label", *header]
     cells = st.integers(0, 9).map(str)
-    if draw(st.integers(0, 3)) == 0:  # cells past int64 send a run to the reference
+    if draw(st.integers(0, 3)) == 0:  # cells past int64 send a run to the csv reader
         cells = st.one_of(cells, st.sampled_from(["-0", "+4", *map(str, BIG_INTS)]))
     rows = []
     for _ in range(draw(st.integers(0, max_rows))):
@@ -306,10 +306,12 @@ def test_argv_never_escapes(command, argv):
 
 
 def _certify_twice(train: bytes, argv, width: int = 2) -> bool:
-    """Run ``certify`` on ``train`` with and without the front end's statistics; return whether it took them.
+    """Run ``certify`` on ``train`` with and without the block reader's statistics; return whether it took them.
 
-    Both runs must give the same exit code, stdout, stderr and written files.
-    Any warning raised in ``main`` is an error, so none can reach stderr.
+    Without them, the csv reader parses the file and its rows are folded by
+    the same ``arrays`` code. Both runs must give the same exit code, stdout,
+    stderr and written files. Any warning raised in ``main`` is an error, so
+    none can reach stderr.
     """
     header = ",".join(["label"] + [f"f{i}" for i in range(width)])
     test = f"{header}\n" + "".join(f"{c},{','.join([str(3 * c + 1)] * width)}\n" for c in range(3))
@@ -351,10 +353,7 @@ def test_block_reader_matches_the_csv_reader(data):
     broken = data.draw(st.sampled_from(["none", "train", "train", "options"]))
     width = data.draw(st.integers(1, 3))
     train = data.draw(csv_files(True, width, 20, broken == "train"))
-    opts = data.draw(options("certify", broken == "options"))
-    # the front end keeps no counter per class, so it runs where the reference cannot (exit 3)
-    assume("--n-classes" not in opts or int(opts[opts.index("--n-classes") + 1]) < 2**40)
-    _certify_twice(train, PARITY_ARGV + opts, width)
+    _certify_twice(train, PARITY_ARGV + data.draw(options("certify", broken == "options")), width)
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,11 +370,15 @@ def test_block_reader_matches_the_csv_reader_past_the_first_block(data):
 
 _ROWS = "".join(f"{i % 3},{i % 7},{i % 5}\n" for i in range(1024))  # exactly one block
 PINNED = {  # id: (training CSV, extra argv, whether the front end takes it)
-    # a cell in int64, but max(rows, F) * max cell, the bound on sums, is not
-    "2^63-1": ("label,f0,f1\n0,1,9223372036854775807\n", [], False),
-    "2^62": ("label,f0,f1\n0,1,4611686018427387904\n", [], False),
+    # a cell in int64, but max(rows, F) * max cell, the bound on sums, is not: Python-int sums
+    "2^63-1": ("label,f0,f1\n0,1,9223372036854775807\n", [], True),
+    "2^62": ("label,f0,f1\n0,1,4611686018427387904\n", [], True),
     "2^62-1": ("label,f0,f1\n0,1,4611686018427387903\n", [], True),
     "2^63": ("label,f0,f1\n0,1,2\n1,9223372036854775808,0\n", [], False),
+    # no model holds a counter per class, so neither reader needs n_classes of them
+    "classes-2^40-past-int64": ("label,f0,f1\n0,1,2\n1,18446744073709551616,0\n",
+                                ["--n-classes", str(2**40)], False),
+    "classes-2^63+1": ("label,f0,f1\n0,1,2\n1,3,4\n", ["--n-classes", str(2**63 + 1)], True),
     "signs-and-zeros": ("label,f0,f1\n0,-0,2\n+1,+0,007\n", [], True),
     "crlf": ("label,f0,f1\r\n0,1,2\r\n1,3,4\r\n", [], True),  # read as LF, by both readers
     "cr": ("label,f0,f1\n0,1,2\r1,3,4\n", [], True),

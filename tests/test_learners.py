@@ -86,9 +86,7 @@ def test_training_is_order_independent(spec, rng):
         samples = _samples(pairs)
         shuffled = list(samples)
         rng.shuffle(shuffled)
-        assert train(spec, canonical_sort(samples), 3) == train(
-            spec, canonical_sort(shuffled), 3
-        )
+        assert train(spec, samples, 3) == train(spec, shuffled, 3)
 
 
 @pytest.mark.parametrize("spec", [MAJORITY, CENTROID])
