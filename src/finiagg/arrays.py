@@ -19,21 +19,19 @@ against; a test width unlike the training width raises ``DimensionMismatch``.
 from __future__ import annotations
 
 import csv
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import LabeledSample
-from .errors import DataError, DimensionMismatch
+from .errors import DimensionMismatch
 from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
 _TEST_BLOCK = 16  # test rows voted per (kd, 16) array
 _CSV_BLOCK = 1024  # training CSV lines, or parsed rows, per block
-# a training CSV body with any other character goes to the csv reader
+# a training CSV run with any other character goes to the csv reader
 _CSV_BODY = re.compile(r"[0-9+\-,\n]*")
 
 
@@ -65,13 +63,12 @@ class Statistics:
 
     counts: np.ndarray
     sums: np.ndarray | None
-    max_label: int  # -1 without rows
 
 
-def _int64_blocks(text: str, start: int, feature_dim: int, n_classes: int | None):
-    """Yield the rows of ``text[start:]`` as int64 arrays ``(label, f0, ...)``, 1,024 lines each.
+def _int64_block(lines: list[str], feature_dim: int, n_classes: int | None) -> np.ndarray | None:
+    """The rows of training CSV body ``lines`` as an int64 array ``(label, f0, ...)``.
 
-    Raises an empty DataError, for the caller to hand the file to the csv
+    Returns None, for the caller to hand these lines and the rest to the csv
     reader, on any character but digits, ``+``, ``-``, ``,`` and LF; on a
     line longer than the csv field size limit; on a cell ``np.loadtxt``
     refuses, which within those characters is any cell but ``[+-]?[0-9]+``
@@ -79,37 +76,28 @@ def _int64_blocks(text: str, start: int, feature_dim: int, n_classes: int | None
     and on a label at or past ``n_classes``. Blank lines are skipped, as the
     csv reader's rows are.
     """
-    if _CSV_BODY.match(text, start).end() < len(text):  # a match is 2-3x faster than a search
-        raise DataError
-    limit = csv.field_size_limit()
-    while start < len(text):
-        end = start
-        for _ in range(_CSV_BLOCK):
-            line_start, end = end, text.find("\n", end) + 1 or len(text)
-            if end - line_start > limit:  # the csv reader refuses any field this long
-                raise DataError
-        block, start = text[start:end], end
-        if block.isspace():  # only blank lines, which np.loadtxt warns about
-            continue
-        try:
-            rows = np.loadtxt(block.splitlines(), dtype=np.int64, delimiter=",", ndmin=2)
-        except ValueError:
-            raise DataError from None
-        if rows.shape[1] != 1 + feature_dim or rows.min() < 0:
-            raise DataError
-        if n_classes is not None and int(rows[:, 0].max()) >= n_classes:
-            raise DataError
-        yield rows
+    text = "".join(lines)
+    if not _CSV_BODY.fullmatch(text) or max(map(len, lines)) > csv.field_size_limit():
+        return None  # the csv reader refuses a field past the limit
+    if text.isspace():  # only blank lines, which np.loadtxt warns about
+        return np.empty((0, 1 + feature_dim), np.int64)
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 1 + feature_dim or rows.min() < 0:
+        return None
+    if n_classes is not None and int(rows[:, 0].max()) >= n_classes:
+        return None
+    return rows
 
 
-def _sample_blocks(samples: Iterable[LabeledSample]):
-    """Yield the rows ``(label, f0, ...)`` of ``samples`` 1,024 at a time, in int64 or, past it, object arrays."""
-    samples = iter(samples)
-    while chunk := [(s.label, *s.features) for s in itertools.islice(samples, _CSV_BLOCK)]:
-        try:
-            yield np.array(chunk, np.int64)
-        except OverflowError:
-            yield np.array(chunk, object)  # holds the rows' own Python ints
+def _row_block(rows: list[tuple[int, ...]]) -> np.ndarray:
+    """The csv reader's checked rows as an int64 array or, past int64, an object array of Python ints."""
+    try:
+        return np.array(rows, np.int64)
+    except OverflowError:
+        return np.array(rows, object)
 
 
 def _grow(values, n_classes: int):
@@ -126,10 +114,10 @@ def partition_statistics(
     """Fold blocks of validated rows ``(label, f0, ..., f{F-1})`` into per-partition statistics.
 
     Each block is an (n, 1 + F) array of non-negative cells, int64 or, from
-    ``_sample_blocks``, Python ints. A row goes to partition ``sum(features) mod
+    ``_row_block``, Python ints. A row goes to partition ``sum(features) mod
     kd``, the split hash. Row sums and feature sums are int64 until one of
     them could reach 2^63, and Python ints from that block on. Returns None
-    when the arrays cannot be allocated.
+    when the arrays cannot be allocated, leaving the rest of ``blocks`` unread.
     """
     try:
         counts = np.zeros((kd, 1), np.int64)
@@ -138,13 +126,13 @@ def partition_statistics(
         for block in blocks:
             labels, features = block[:, 0], block[:, 1:]
             n_rows += len(block)
-            max_cell = max(max_cell, int(features.max()))
+            max_cell = max(max_cell, int(features.max(initial=0)))
             # every row sum and partition sum is at most max(n_rows, F) * max_cell
             if max(n_rows, feature_dim) * max_cell >= INT64_LIMIT:
                 features = features.astype(object, copy=False)
                 if sums is not None and sums.dtype != object:
                     sums = sums.astype(object)
-            max_label = max(max_label, int(labels.max()))
+            max_label = max(max_label, int(labels.max(initial=-1)))
             if max_label >= counts.shape[1]:
                 counts = _grow(counts, max_label + 1)
                 if sums is not None:
@@ -156,9 +144,9 @@ def partition_statistics(
             counts += np.bincount(key, minlength=counts.size).reshape(counts.shape)
             if sums is not None:
                 np.add.at(sums.reshape(-1, feature_dim), key, features)
-    except (MemoryError, ValueError):  # NumPy's refusals of a size
+    except (MemoryError, ValueError):  # NumPy's refusals of a size; the blocks raise neither
         return None
-    return Statistics(counts, sums, max_label)
+    return Statistics(counts, sums)
 
 
 def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Statistics:
@@ -168,7 +156,6 @@ def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Sta
     return Statistics(
         circulant_sum(partitions.counts, shifts, np.int64),
         None if sums is None else circulant_sum(sums, shifts, sums.dtype),
-        partitions.max_label,
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -68,20 +69,16 @@ class _Parser(argparse.ArgumentParser):
 def read_dataset_csv(
     path: str | Path, n_classes: int | None = None
 ) -> Dataset:
-    return _dataset_from_csv(_read_text(path), path, n_classes)
-
-
-def _dataset_from_csv(text: str, path: str | Path, n_classes: int | None) -> Dataset:
-    rows, feature_dim, labeled = _parse_csv(text, path)
+    rows, feature_dim, labeled = _parse_csv(_read_text(path), path)
     if not labeled:
         raise DataError(f"{path}: training data needs a label column")
     return validate_dataset(rows, n_classes, feature_dim)
 
 
 def read_test_csv(
-    path: str | Path,
+    path: str | Path, n_classes: int
 ) -> tuple[list[tuple[int, ...]], list[int] | None]:
-    """Read test inputs; returns (feature rows, labels or None)."""
+    """Read test inputs, and labels in ``[0, n_classes)`` if any; returns (feature rows, labels or None)."""
     rows, feature_dim, labeled = _parse_csv(_read_text(path), path)
     if labeled:
         features = [tuple(r[1:]) for r in rows]
@@ -91,10 +88,13 @@ def read_test_csv(
         labels = None
     try:
         for idx, f in enumerate(features):
-            check_row(idx, 0, f, None, feature_dim)  # labels are checked once n_classes is known
+            check_row(idx, 0, f, None, feature_dim)  # labels are checked after every row's features
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    for idx, lab in enumerate(labels or ()):
+        if lab < 0 or lab >= n_classes:
+            raise DataError(f"{path}: row {idx}: label {lab} outside [0, {n_classes})")
     return features, labels
 
 
@@ -119,16 +119,16 @@ def _lines(text: str):
 
 def _parse_csv(text: str, path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
     reader = csv.reader(_lines(text))
-    try:
-        feature_dim, labeled = _read_header(reader, path)
-        return list(_int_rows(reader, path)), feature_dim, labeled
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    feature_dim, labeled = _read_header(reader, path)
+    return list(_int_rows(reader, path)), feature_dim, labeled
 
 
 def _read_header(reader, path: str | Path) -> tuple[int, bool]:
     """Check the header row; returns (feature count, has a label column)."""
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not header:
         raise DataError(f"{path}: missing header")
     header = [h.strip() for h in header]
@@ -142,13 +142,70 @@ def _read_header(reader, path: str | Path) -> tuple[int, bool]:
     return len(feature_names), labeled
 
 
-def _int_rows(reader, path: str | Path):
-    """Yield each non-blank row after the header as a tuple of ints; blank rows are not numbered."""
-    for idx, cells in enumerate(filter(None, reader)):
-        # int() would also accept " 3", "1_0" and non-ASCII digits
-        if not all(map(_INT_CELL.fullmatch, cells)):
-            raise DataError(f"{path}: row {idx} has a non-integer cell")
-        yield tuple(map(int, cells))
+def _int_rows(reader, path: str | Path, first: int = 0):
+    """Yield each non-blank row as a tuple of ints, numbered from ``first``; blank rows are not numbered."""
+    try:
+        for idx, cells in enumerate(filter(None, reader), first):
+            # int() would also accept " 3", "1_0" and non-ASCII digits
+            if not all(map(_INT_CELL.fullmatch, cells)):
+                raise DataError(f"{path}: row {idx} has a non-integer cell")
+            try:
+                row = tuple(map(int, cells))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise LimitError(f"{path}: row {idx} has a cell of more than {limit} digits") from None
+            yield row
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+class _TrainingCSV:
+    """A training CSV read once, front to back: the header's ``feature_dim``, then ``blocks()``.
+
+    ``blocks()`` yields the rows ``(label, f0, ...)`` as (n, 1 + F) arrays: 1,024-line runs parsed by
+    ``arrays._int64_block`` and, from the first run it refuses on, the csv reader's rows. Errors come
+    in ``read_dataset_csv``'s order: a malformed record or non-integer cell anywhere, then the first
+    row ``check_row`` refuses, then the class count's checks; after them ``n_classes`` is set.
+    """
+
+    def __init__(self, text: str, path: str | Path, n_classes: int | None):
+        self._lines, self._path, self.n_classes = _lines(text), path, n_classes
+        reader = csv.reader(self._lines)  # takes the header record's lines, and no more
+        self.feature_dim, labeled = _read_header(reader, path)
+        if not labeled:
+            for _ in _int_rows(reader, path):  # every cell is checked first
+                pass
+            raise DataError(f"{path}: training data needs a label column")
+
+    def blocks(self):
+        from . import arrays  # imports numpy, which `import finiagg.cli` must not
+
+        n_rows, max_label = 0, -1
+        while run := list(itertools.islice(self._lines, arrays._CSV_BLOCK)):
+            block = arrays._int64_block(run, self.feature_dim, self.n_classes)
+            if block is None:
+                break
+            n_rows, max_label = n_rows + len(block), max(max_label, int(block[:, 0].max(initial=-1)))
+            yield block
+        reader = csv.reader(itertools.chain(run, self._lines))  # no quote precedes the run
+        rows = self._checked(_int_rows(reader, self._path, n_rows), n_rows)
+        while chunk := list(itertools.islice(rows, arrays._CSV_BLOCK)):
+            max_label = max(max_label, max(row[0] for row in chunk))
+            yield arrays._row_block(chunk)
+        if self.n_classes is None and max_label >= 0:
+            self.n_classes = max_label + 1
+        validate_dataset((), self.n_classes, self.feature_dim)  # the class count's and width's checks
+
+    def _checked(self, rows, first: int):
+        """Yield ``rows`` until ``check_row`` refuses one; raise its error once every later row's cells pass."""
+        for idx, row in enumerate(rows, first):
+            try:
+                check_row(idx, row[0], row[1:], self.n_classes, self.feature_dim)
+            except DataError:
+                for _ in rows:  # raises a later row's non-integer cell or malformed record
+                    pass
+                raise
+            yield row
 
 
 def votes_to_json(matrix: VoteMatrix) -> str:
@@ -181,11 +238,13 @@ def _json_ints(values, field: str) -> tuple[int, ...]:
     return values
 
 
-def votes_from_json(text: str) -> VoteMatrix:
+def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteMatrix:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
+    except ValueError:  # json, like int(), refuses past sys.get_int_max_str_digits()
+        raise LimitError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     try:
         k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
         offsets = SpreadOffsets(_json_ints(obj["offsets"], "offsets"), k * d)
@@ -201,7 +260,7 @@ def votes_from_json(text: str) -> VoteMatrix:
 
 def load_votes(path: str | Path) -> VoteMatrix:
     try:
-        return votes_from_json(Path(path).read_text(encoding="utf-8"))
+        return votes_from_json(Path(path).read_text(encoding="utf-8"), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -280,23 +339,22 @@ def _matrix_from_args(args) -> VoteMatrix:
     if args.dataset is None or args.test is None:
         raise UsageError("need either --votes or both --dataset and --test")
     kind = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner)).kind
-    # read each CSV once: a pipe or FIFO cannot be read again when the csv reader takes over
-    text = _read_text(args.dataset)
-    stats, n_classes = _front_end_statistics(args, kind, text) or (None, None)
-    if stats is None:
-        dataset = _dataset_from_csv(text, args.dataset, args.n_classes)
-        n_classes = dataset.n_classes
-    # the test CSV, then the layout, both checked before the csv reader's rows are folded
-    features, labels = _labelled_test_set(args.test, n_classes)
-    config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=n_classes)
-    offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
+    # read each CSV once: a pipe or FIFO cannot be read again
+    train = _TrainingCSV(_read_text(args.dataset), args.dataset, args.n_classes)
+    blocks = train.blocks()
     from . import arrays
 
-    if stats is None:  # folded here, so a refused allocation comes after every input error
-        blocks = arrays._sample_blocks(dataset.samples)
-        stats = arrays.partition_statistics(blocks, config.kd, dataset.feature_dim, kind == NEAREST_CENTROID)
-        if stats is None:
-            raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")
+    stats = None
+    if args.k >= 1 and args.d >= 1 and train.feature_dim >= 1:  # else an error below says why
+        stats = arrays.partition_statistics(blocks, args.k * args.d, train.feature_dim, kind == NEAREST_CENTROID)
+    for _ in blocks:  # what the fold left unread, so the CSV's own errors come first
+        pass
+    # then the test CSV and the layout, and only then a refused allocation
+    features, labels = read_test_csv(args.test, train.n_classes)
+    config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=train.n_classes)
+    offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
+    if stats is None:
+        raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")
     # rebound, so the partition statistics are freed before the models vote
     stats = arrays.classifier_statistics(stats, offsets)
     if kind == MAJORITY_LABEL:
@@ -309,52 +367,6 @@ def _matrix_from_args(args) -> VoteMatrix:
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix
-
-
-def _labelled_test_set(path: str | Path, n_classes: int):
-    """Read a test CSV whose labels, if any, lie in ``[0, n_classes)``."""
-    features, labels = read_test_csv(path)
-    for idx, lab in enumerate(labels or ()):
-        if lab < 0 or lab >= n_classes:
-            raise DataError(f"{path}: row {idx}: label {lab} outside [0, {n_classes})")
-    return features, labels
-
-
-def _front_end_statistics(args, kind: str, text: str):
-    """The training CSV's partition statistics and class count, folded from ``arrays._int64_blocks``.
-
-    Returns None, before raising anything, for any training CSV or
-    ``--k``/``--d`` that the ``csv`` reader's path rejects, for any body the
-    block reader does not take, and when the statistics cannot be allocated.
-    The caller then parses ``text`` with the ``csv`` reader, which reports
-    the first error in its own order, and folds its rows.
-    """
-    if args.k < 1 or args.d < 1:
-        return None
-    from . import arrays  # imports numpy, which `import finiagg.cli` must not
-
-    n_classes = args.n_classes
-    reader = csv.reader(_lines(text))
-    try:
-        feature_dim, labeled = _read_header(reader, args.dataset)
-        if not labeled or feature_dim < 1:
-            return None
-        body = 0
-        for _ in range(reader.line_num):  # the lines the header record took
-            body = text.find("\n", body) + 1 or len(text)
-        blocks = arrays._int64_blocks(text, body, feature_dim, n_classes)
-        stats = arrays.partition_statistics(
-            blocks, args.k * args.d, feature_dim, kind == NEAREST_CENTROID
-        )
-    except (csv.Error, DataError):
-        return None
-    if stats is None:
-        return None
-    if n_classes is None:
-        n_classes = stats.max_label + 1  # 0 without rows, which needs an explicit n_classes
-    if n_classes < 1:
-        return None
-    return stats, n_classes
 
 
 def _delta_rows(matrix: VoteMatrix):
@@ -533,7 +545,7 @@ def cmd_oracle_check(args) -> int:
 def cmd_ia(args) -> int:
     spec = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner))
     dataset = read_dataset_csv(args.dataset, args.n_classes)
-    features, labels = _labelled_test_set(args.test, dataset.n_classes)
+    features, labels = read_test_csv(args.test, dataset.n_classes)
     dists = ia_vote_distributions(dataset, features, args.k, spec, args.limit)
     results = []
     for idx, dist in enumerate(dists):

@@ -19,8 +19,8 @@ from finiagg import (
     train_ensemble,
     validate_dataset,
 )
-from finiagg import cli
-from finiagg.arrays import _sample_blocks, circulant_sum, partition_statistics
+from finiagg import arrays, cli
+from finiagg.arrays import _row_block, circulant_sum, partition_statistics
 from finiagg.hashing import SpreadOffsets
 
 LEARNERS = {"majority": "majority-label", "centroid": "nearest-centroid"}
@@ -49,7 +49,7 @@ def _write_csv(path: Path, rows, width: int, labeled: bool) -> None:
 
 
 def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
-    """Votes that ``--save-votes`` writes, and whether the csv reader parsed the training CSV."""
+    """Votes that ``--save-votes`` writes, and whether the block reader refused a block of the training CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_csv(tmp / "train.csv", train_rows, width, True)
@@ -59,10 +59,17 @@ def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
                 "--save-votes", tmp / "votes.json", "--out", tmp / "curve.csv"]
         if n_classes is not None:
             argv += ["--n-classes", n_classes]
-        with mock.patch.object(cli, "_dataset_from_csv", wraps=cli._dataset_from_csv) as csv_reader:
+        int64_block, refused = arrays._int64_block, []
+
+        def record(*args):
+            block = int64_block(*args)
+            refused.append(block is None)
+            return block
+
+        with mock.patch.object(arrays, "_int64_block", record):
             assert cli.main([str(a) for a in argv]) == 0
         matrix = cli.load_votes(tmp / "votes.json")
-        return matrix.votes, csv_reader.called
+        return matrix.votes, any(refused)
 
 
 def _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
@@ -194,7 +201,7 @@ def test_sums_switch_to_python_ints_mid_stream_and_then_the_class_axis_grows(tmp
     assert stats.sums[big % kd, 5].tolist() == [2 * big, 0]  # past int64
     # the csv reader's rows, with a cell past int64 in the second block, fold the same way
     past = [*rows, (4, 2**64, 0)]
-    stats = partition_statistics(_sample_blocks(validate_dataset(past).samples), kd, 2, True)
+    stats = partition_statistics([_row_block(past[:1024]), _row_block(past[1024:])], kd, 2, True)
     _assert_exact_python_int_sums(stats, past, kd)
 
     test_inputs = [(big, 0), (1, 2), (0, 0)]

@@ -592,6 +592,8 @@ def test_vote_file_errors_name_the_first_bad_value(tmp_path, votes, message, cap
     assert json.loads(capsys.readouterr().err)["message"] == message
 
 
+ROWS = "".join(f"{i % 3},{i % 7},{i % 5}\n" for i in range(1024))  # one block of the block reader
+
 # Training CSVs the streamed reader must reject exactly as read_dataset_csv does:
 # (train CSV or None for a missing file, extra argv, exit code, error, message)
 STREAM_ERRORS = [
@@ -627,6 +629,17 @@ STREAM_ERRORS = [
     (TRAIN_CSV, ["--d", "2", "--dpa-compatible"], 1, "UsageError",
      "dpa-compatible mode requires d=1, got d=2"),
     ("label,f0,f1\n0,1,2\n", [], 2, "DataError", "{test}: row 1: label 1 outside [0, 1)"),
+    # over several blocks: rows are numbered across blocks and across the csv reader's takeover,
+    # which starts at the first block the block reader refuses
+    ("label,f0,f1\n0,1\n" + ROWS[6:] + ROWS + "0,1,x\n", [], 2, "DataError",
+     "{train}: row 2048 has a non-integer cell"),
+    ("label,f0,f1\n" + ROWS + f"0,1,{2**64}\n" + ROWS[6:] + "0,-1,2\n", [], 2, "NegativeFeature",
+     "row 2048: feature f0 is negative (-1)"),
+    ("label,f0,f1\n" + ROWS + ROWS[6:] + '0,1,"2\n3"\n' + ROWS, [], 2, "DataError",  # a quote opened in block 2
+     "{train}: row 2047 has a non-integer cell"),
+    ("label,f0,f1\n" + ROWS + "0,1,x\n", ["--k", "0"], 2, "DataError", "{train}: row 1024 has a non-integer cell"),
+    ("label,f0,f1\n" + ROWS + "0,-1,2\n", ["--k", "0"], 2, "NegativeFeature",
+     "row 1024: feature f0 is negative (-1)"),
 ]
 
 
@@ -773,6 +786,77 @@ def test_statistics_that_cannot_be_allocated_exit_three(tmp_path, train_file, te
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "LimitError", "message": msg, "exit_code": 3}
+
+
+@pytest.mark.parametrize("defect, code, error, message", [
+    ("0,-1,2\n", 2, "NegativeFeature", "row 2048: feature f0 is negative (-1)"),
+    ("", 3, "LimitError", "the per-class statistics of 6 partitions do not fit in memory"),
+])
+def test_a_refused_allocation_mid_stream_comes_after_the_csvs_errors(
+    tmp_path, test_file, defect, code, error, message, capsys
+):
+    from unittest import mock
+
+    from finiagg import arrays
+
+    # block 1 has only label 0, so the class axis grows, and is refused, on block 2
+    train = tmp_path / "train.csv"
+    train.write_text("label,f0,f1\n" + "0,1,2\n" * 1024 + ROWS + defect, encoding="utf-8")
+    with mock.patch.object(arrays, "_grow", side_effect=MemoryError) as grow:
+        assert _run("certify", "--dataset", train, "--test", test_file, "--k", 3, "--d", 2) == code
+    assert grow.call_count == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": error, "message": message, "exit_code": code}) + "\n"
+
+
+def test_the_csv_reader_parses_only_from_the_first_refused_block(tmp_path, test_file):
+    from unittest import mock
+
+    from finiagg import cli, datamodel
+
+    # blocks 1 and 2 are int64; block 3 holds a cell of 2^64, so the csv reader takes its 1,024 + 5 rows
+    rest = f"0,1,{2**64}\n" + ROWS[6:] + "\n1,2,3\n" * 5
+    train = tmp_path / "train.csv"
+    train.write_text("label,f0,f1\n" + ROWS * 2 + rest, encoding="utf-8")
+    int_rows, parsed = cli._int_rows, []
+
+    def record(reader, path, first=0):
+        for row in int_rows(reader, path, first):
+            if str(path) == str(train):
+                parsed.append(row)
+            yield row
+
+    no_samples = mock.patch.object(datamodel, "LabeledSample", side_effect=AssertionError("a LabeledSample"))
+    with mock.patch.object(cli, "_int_rows", record), no_samples:
+        assert _run("certify", "--dataset", train, "--test", test_file, "--k", 3, "--d", 2,
+                    "--out", tmp_path / "report.json") == 0
+    assert len(parsed) == 1024 + 5
+    assert parsed[0] == (0, 1, 2**64) and parsed[-1] == (1, 2, 3)
+
+
+LONG_DIGITS = "1" * 5000  # int() and json refuse more than 4,300 digits
+
+
+@pytest.mark.parametrize("entry", ["certify", "ia", "test-csv", "votes"])
+def test_integers_past_the_digit_limit_exit_three(tmp_path, train_file, test_file, entry, capsys):
+    long = tmp_path / "long"
+    if entry == "votes":
+        long.write_text(json.dumps(VOTES).replace('"votes": [[1, 1]]', f'"votes": [[1, {LONG_DIGITS}]]'))
+        argv = ["certify", "--votes", long]
+        message = f"{long}: an integer has more than 4300 digits"
+    elif entry == "test-csv":
+        long.write_text(f"label,f0,f1\n0,1,{LONG_DIGITS}\n", encoding="utf-8")
+        argv = ["certify", "--dataset", train_file, "--test", long]
+        message = f"{long}: row 0 has a cell of more than 4300 digits"
+    else:
+        long.write_text(f"label,f0\n0,{LONG_DIGITS}\n1,2\n", encoding="utf-8")
+        argv = [entry, "--dataset", long, "--test", test_file, "--k", 2]
+        message = f"{long}: row 0 has a cell of more than 4300 digits"
+    assert _run(*argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": "LimitError", "message": message, "exit_code": 3}) + "\n"
 
 
 def test_certify_counts_classes_beyond_kd_without_a_counter_per_class(tmp_path):
