@@ -4,9 +4,10 @@ Both built-in learners reduce a training subset to per-class label counts
 and feature sums, so a partition's statistics are shared by the ``d``
 classifiers that train on it: classifier ``i``'s statistics are the sum of
 those of partitions ``(i - r) mod kd`` over the offsets ``r``. This module
-parses a training CSV's body into int64 blocks of rows, folds them into
-(kd, C) label counts and (kd, C, F) feature sums, takes that circulant sum,
-and votes with the same decision rules as ``learners``, in NumPy arrays.
+parses a training or test CSV's body into int64 blocks of rows, folds the
+training rows into (kd, C) label counts and (kd, C, F) feature sums, takes
+that circulant sum, and votes with the same decision rules as ``learners``,
+in NumPy arrays.
 
 The class axis has one entry per label up to the largest training label,
 not ``n_classes``: a class without samples never wins. Sums and products are
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .hashing import SpreadOffsets
 
 INT64_LIMIT = 2**63
 _TEST_BLOCK = 16  # test rows voted per (kd, 16) array
-_CSV_BLOCK = 1024  # training CSV lines, or parsed rows, per block
-# a training CSV run with any other character goes to the csv reader
+_CSV_BLOCK = 1024  # CSV lines, or parsed rows, per block
+# a CSV run with any other character goes to the csv reader
 _CSV_BODY = re.compile(r"[0-9+\-,\n]*")
 
 
@@ -65,27 +66,27 @@ class Statistics:
     sums: np.ndarray | None
 
 
-def _int64_block(lines: list[str], feature_dim: int, n_classes: int | None) -> np.ndarray | None:
-    """The rows of training CSV body ``lines`` as an int64 array ``(label, f0, ...)``.
+def _int64_block(lines: list[str], width: int, n_classes: int | None) -> np.ndarray | None:
+    """The rows of CSV body ``lines`` as an int64 array ``(label, f0, ...)`` or ``(f0, ...)``.
 
     Returns None, for the caller to hand these lines and the rest to the csv
     reader, on any character but digits, ``+``, ``-``, ``,`` and LF; on a
     line longer than the csv field size limit; on a cell ``np.loadtxt``
     refuses, which within those characters is any cell but ``[+-]?[0-9]+``
-    in int64; on a row not ``1 + feature_dim`` wide; on a negative cell;
-    and on a label at or past ``n_classes``. Blank lines are skipped, as the
-    csv reader's rows are.
+    in int64; on a row not ``width`` wide; on a negative cell; and on a
+    label, the first cell, at or past ``n_classes`` unless that is None.
+    Blank lines are skipped, as the csv reader's rows are.
     """
     text = "".join(lines)
     if not _CSV_BODY.fullmatch(text) or max(map(len, lines)) > csv.field_size_limit():
         return None  # the csv reader refuses a field past the limit
     if text.isspace():  # only blank lines, which np.loadtxt warns about
-        return np.empty((0, 1 + feature_dim), np.int64)
+        return np.empty((0, width), np.int64)
     try:
         rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2)
     except ValueError:
         return None
-    if rows.shape[1] != 1 + feature_dim or rows.min() < 0:
+    if rows.shape[1] != width or rows.min() < 0:
         return None
     if n_classes is not None and int(rows[:, 0].max()) >= n_classes:
         return None
@@ -159,8 +160,8 @@ def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Sta
     )
 
 
-def centroid_votes(classifiers: Statistics, test_inputs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Votes ``[t][i]`` of the nearest-centroid models on every test input.
+def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]:
+    """Votes ``[t][i]`` of the nearest-centroid models on every row of the (n, F) test array.
 
     The squared distance of ``x`` to class c's centroid ``s_c / n_c`` is
     ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``. A tournament over the
@@ -168,22 +169,20 @@ def centroid_votes(classifiers: Statistics, test_inputs: Sequence[Sequence[int]]
     and skips absent classes, so ties stay with the smaller index and a
     model without samples votes 0. It runs in int64 while every product stays
     below 2^63, judged by ``(max n * max(x, s))^2 * F * (max n)^2``, and in
-    Python ints otherwise. A test input of another width than the training
+    Python ints otherwise. A test array of another width than the training
     features raises ``DimensionMismatch``, as ``NearestCentroidModel.predict``
-    does, unless no model has samples.
+    does, unless no model has samples or there are no test rows.
     """
     counts, sums = classifiers.counts, classifiers.sums
     kd, n_classes, feature_dim = sums.shape
-    if not counts.any() or not test_inputs:
-        return [[0] * kd for _ in test_inputs]
-    for x in test_inputs:
-        if len(x) != feature_dim:
-            raise DimensionMismatch(f"expected {feature_dim} features, got {len(x)}")
+    if not counts.any() or not len(test):
+        return [[0] * kd for _ in range(len(test))]
+    if test.shape[1] != feature_dim:
+        raise DimensionMismatch(f"expected {feature_dim} features, got {test.shape[1]}")
     max_n = int(counts.max())
-    max_value = max(int(sums.max()), max(map(max, test_inputs)))
+    max_value = max(int(sums.max()), int(test.max()))
     dtype = np.int64 if (max_n * max_value) ** 2 * feature_dim * max_n**2 < INT64_LIMIT else object
-    counts, sums = counts.astype(dtype, copy=False), sums.astype(dtype, copy=False)
-    test = np.array(test_inputs, dtype=dtype)
+    counts, sums, test = (a.astype(dtype, copy=False) for a in (counts, sums, test))
     den = counts * counts
     sq_sums = np.einsum("icf,icf->ic", sums, sums)
     votes = np.empty((len(test), kd), np.int64)

@@ -3,8 +3,8 @@
 Formats
 -------
 Dataset CSV: header ``label,f0,...,f{n-1}``, integer cells (ASCII digits,
-optional sign), UTF-8, LF line endings. Test CSVs may drop the label column
-(header ``f0,...``).
+optional sign), UTF-8; CRLF and CR line ends are read as LF. Test CSVs may
+drop the label column (header ``f0,...``).
 
 Vote-matrix JSON::
 
@@ -35,7 +35,7 @@ from typing import Sequence
 from .certifier import (
     _certified_accuracy, _row_losses, _shared_set_size, build_report, fa_radius, margin_tables,
 )
-from .datamodel import AggregationConfig, Dataset, check_row, validate_dataset
+from .datamodel import AggregationConfig, Dataset, LabeledSample, check_row, validate_dataset
 from .ensemble import VoteMatrix
 from .errors import (
     DataError,
@@ -66,36 +66,19 @@ class _Parser(argparse.ArgumentParser):
 # file formats
 
 
-def read_dataset_csv(
-    path: str | Path, n_classes: int | None = None
-) -> Dataset:
-    rows, feature_dim, labeled = _parse_csv(_read_text(path), path)
-    if not labeled:
-        raise DataError(f"{path}: training data needs a label column")
-    return validate_dataset(rows, n_classes, feature_dim)
+def read_dataset_csv(path: str | Path, n_classes: int | None = None) -> Dataset:
+    train = _CSV(path, n_classes)
+    samples = tuple(LabeledSample(row[1:], row[0]) for row in train.rows())
+    return Dataset(samples, train.n_classes, train.feature_dim)
 
 
-def read_test_csv(
-    path: str | Path, n_classes: int
-) -> tuple[list[tuple[int, ...]], list[int] | None]:
+def read_test_csv(path: str | Path, n_classes: int) -> tuple[list[tuple[int, ...]], list[int] | None]:
     """Read test inputs, and labels in ``[0, n_classes)`` if any; returns (feature rows, labels or None)."""
-    rows, feature_dim, labeled = _parse_csv(_read_text(path), path)
-    if labeled:
-        features = [tuple(r[1:]) for r in rows]
-        labels = [r[0] for r in rows]
-    else:
-        features = [tuple(r) for r in rows]
-        labels = None
-    try:
-        for idx, f in enumerate(features):
-            check_row(idx, 0, f, None, feature_dim)  # labels are checked after every row's features
-    except DataError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    for idx, lab in enumerate(labels or ()):
-        if lab < 0 or lab >= n_classes:
-            raise DataError(f"{path}: row {idx}: label {lab} outside [0, {n_classes})")
-    return features, labels
+    test = _CSV(path, n_classes, test=True)
+    rows = list(test.rows())
+    if not test.labeled:
+        return rows, None
+    return [row[1:] for row in rows], [row[0] for row in rows]
 
 
 def _read_text(path: str | Path) -> str:
@@ -115,12 +98,6 @@ def _lines(text: str):
         end = text.find("\n", start) + 1 or len(text)
         yield text[start:end]
         start = end
-
-
-def _parse_csv(text: str, path: str | Path) -> tuple[list[tuple[int, ...]], int, bool]:
-    reader = csv.reader(_lines(text))
-    feature_dim, labeled = _read_header(reader, path)
-    return list(_int_rows(reader, path)), feature_dim, labeled
 
 
 def _read_header(reader, path: str | Path) -> tuple[int, bool]:
@@ -159,53 +136,69 @@ def _int_rows(reader, path: str | Path, first: int = 0):
         raise DataError(f"{path}: {exc}") from exc
 
 
-class _TrainingCSV:
-    """A training CSV read once, front to back: the header's ``feature_dim``, then ``blocks()``.
+class _CSV:
+    """A training or test CSV read once, front to back: the header, then ``rows()`` or ``blocks()``.
 
-    ``blocks()`` yields the rows ``(label, f0, ...)`` as (n, 1 + F) arrays: 1,024-line runs parsed by
-    ``arrays._int64_block`` and, from the first run it refuses on, the csv reader's rows. Errors come
-    in ``read_dataset_csv``'s order: a malformed record or non-integer cell anywhere, then the first
-    row ``check_row`` refuses, then the class count's checks; after them ``n_classes`` is set.
+    Both yield the rows ``(label, f0, ...)``, or ``(f0, ...)`` for a test CSV without labels, and
+    raise errors in this order: a malformed record or non-integer cell anywhere, then the first
+    row ``check_row`` refuses, then the end checks. A training CSV's rows are checked with their
+    labels against ``n_classes``; its end checks are the class count's, after which ``n_classes``
+    is set. A test CSV's rows are checked with label 0, its errors name the file, and its end
+    check is the first label outside ``[0, n_classes)``.
     """
 
-    def __init__(self, text: str, path: str | Path, n_classes: int | None):
-        self._lines, self._path, self.n_classes = _lines(text), path, n_classes
+    def __init__(self, path: str | Path, n_classes: int | None, test: bool = False):
+        self._lines, self._path, self.n_classes, self._test = _lines(_read_text(path)), path, n_classes, test
         reader = csv.reader(self._lines)  # takes the header record's lines, and no more
-        self.feature_dim, labeled = _read_header(reader, path)
-        if not labeled:
+        self.feature_dim, self.labeled = _read_header(reader, path)
+        if not (test or self.labeled):
             for _ in _int_rows(reader, path):  # every cell is checked first
                 pass
             raise DataError(f"{path}: training data needs a label column")
 
+    def rows(self, head: Sequence[str] = (), first: int = 0, max_label: int = -1):
+        """The csv reader's rows of ``head`` and the unread lines, numbered from ``first``;
+        ``max_label`` is the largest label of the rows before them."""
+        rows = _int_rows(csv.reader(itertools.chain(head, self._lines)), self._path, first)
+        classes = None if self._test else self.n_classes  # a test CSV's labels are checked after every row
+        bad_label = None  # a test CSV's first label outside [0, n_classes)
+        for idx, row in enumerate(rows, first):
+            label = row[0] if self.labeled else 0
+            try:
+                check_row(idx, 0 if self._test else label, row[self.labeled:], classes, self.feature_dim)
+            except DataError as exc:
+                for _ in rows:  # raises a later row's non-integer cell or malformed record
+                    pass
+                if self._test:
+                    exc.args = (f"{self._path}: {exc}",)
+                raise
+            if self._test and bad_label is None and not 0 <= label < self.n_classes:
+                bad_label = DataError(f"{self._path}: row {idx}: label {label} outside [0, {self.n_classes})")
+            max_label = max(max_label, label)
+            yield row
+        if bad_label is not None:
+            raise bad_label
+        if not self._test:
+            if self.n_classes is None and max_label >= 0:
+                self.n_classes = max_label + 1
+            validate_dataset((), self.n_classes, self.feature_dim)  # the class count's and width's checks
+
     def blocks(self):
+        """The rows in arrays: runs of 1,024 lines that ``arrays._int64_block`` parses, then
+        ``rows()`` from the first run it refuses."""
         from . import arrays  # imports numpy, which `import finiagg.cli` must not
 
         n_rows, max_label = 0, -1
+        width = self.labeled + self.feature_dim
         while run := list(itertools.islice(self._lines, arrays._CSV_BLOCK)):
-            block = arrays._int64_block(run, self.feature_dim, self.n_classes)
+            block = arrays._int64_block(run, width, self.n_classes if self.labeled else None)
             if block is None:
                 break
             n_rows, max_label = n_rows + len(block), max(max_label, int(block[:, 0].max(initial=-1)))
             yield block
-        reader = csv.reader(itertools.chain(run, self._lines))  # no quote precedes the run
-        rows = self._checked(_int_rows(reader, self._path, n_rows), n_rows)
+        rows = self.rows(run, n_rows, max_label)  # no quote precedes the run
         while chunk := list(itertools.islice(rows, arrays._CSV_BLOCK)):
-            max_label = max(max_label, max(row[0] for row in chunk))
             yield arrays._row_block(chunk)
-        if self.n_classes is None and max_label >= 0:
-            self.n_classes = max_label + 1
-        validate_dataset((), self.n_classes, self.feature_dim)  # the class count's and width's checks
-
-    def _checked(self, rows, first: int):
-        """Yield ``rows`` until ``check_row`` refuses one; raise its error once every later row's cells pass."""
-        for idx, row in enumerate(rows, first):
-            try:
-                check_row(idx, row[0], row[1:], self.n_classes, self.feature_dim)
-            except DataError:
-                for _ in rows:  # raises a later row's non-integer cell or malformed record
-                    pass
-                raise
-            yield row
 
 
 def votes_to_json(matrix: VoteMatrix) -> str:
@@ -259,10 +252,7 @@ def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteM
 
 
 def load_votes(path: str | Path) -> VoteMatrix:
-    try:
-        return votes_from_json(Path(path).read_text(encoding="utf-8"), path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    return votes_from_json(_read_text(path), path)
 
 
 def _frac(fr: Fraction) -> dict:
@@ -340,8 +330,10 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise UsageError("need either --votes or both --dataset and --test")
     kind = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner)).kind
     # read each CSV once: a pipe or FIFO cannot be read again
-    train = _TrainingCSV(_read_text(args.dataset), args.dataset, args.n_classes)
+    train = _CSV(args.dataset, args.n_classes)
     blocks = train.blocks()
+    import numpy as np
+
     from . import arrays
 
     stats = None
@@ -350,7 +342,10 @@ def _matrix_from_args(args) -> VoteMatrix:
     for _ in blocks:  # what the fold left unread, so the CSV's own errors come first
         pass
     # then the test CSV and the layout, and only then a refused allocation
-    features, labels = read_test_csv(args.test, train.n_classes)
+    test = _CSV(args.test, train.n_classes, test=True)
+    rows = np.concatenate([np.empty((0, test.labeled + test.feature_dim), np.int64), *test.blocks()])
+    features = rows[:, test.labeled:]
+    labels = tuple(rows[:, 0].tolist()) if test.labeled else None  # Python ints, which json writes
     config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=train.n_classes)
     offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
     if stats is None:
@@ -361,9 +356,8 @@ def _matrix_from_args(args) -> VoteMatrix:
         votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
     else:
         votes = arrays.centroid_votes(stats, features)
-    labels = tuple(labels) if labels is not None else None
     matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
-    del stats, votes  # freed before the matrix is written or certified
+    del stats, votes, rows, features  # freed before the matrix is written or certified
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
     return matrix

@@ -664,7 +664,12 @@ def test_streamed_training_csv_fails_like_the_reference(
     [("label,f0,f1\n0,2,2\n\n1,8,x\n", "DataError", "{test}: row 1 has a non-integer cell"),
      ("label,f0,f1\n0,2,2\n\n1,8,-8\n", "NegativeFeature", "{test}: row 1: feature f1 is negative (-8)"),
      ("label,f0,f1\n0,2,2\n\n1,8\n", "RaggedRow", "{test}: row 1: expected 2 feature columns, got 1"),
-     ("f0,f1\n\n2,2\n\n8,x\n", "DataError", "{test}: row 1 has a non-integer cell")],
+     ("f0,f1\n\n2,2\n\n8,x\n", "DataError", "{test}: row 1 has a non-integer cell"),
+     # labels are checked after every row's features, and a bad one is a plain DataError
+     pytest.param("label,f0,f1\n5,2,2\n" + "0,1,1\n" * 1029 + "0,1,-4\n", "NegativeFeature",
+                  "{test}: row 1030: feature f1 is negative (-4)", id="feature-in-block-2-before-label"),
+     pytest.param("label,f0,f1\n0,2,2\n-1,8,8\n", "DataError", "{test}: row 1: label -1 outside [0, 3)",
+                  id="negative-label")],
 )
 def test_test_csv_rows_are_numbered_without_blank_lines(tmp_path, train_file, test_csv, error, message, capsys):
     test = tmp_path / "blank.csv"
@@ -720,10 +725,13 @@ def test_unreadable_csv_text_is_a_data_error(tmp_path, train_file, test_file, co
 
 
 def test_unreadable_vote_file_text_is_a_data_error(tmp_path, capsys):
-    votes = tmp_path / "votes.json"
+    votes, missing = tmp_path / "votes.json", tmp_path / "missing.json"
     votes.write_bytes(b"\xff")
     assert _run("certify", "--votes", votes) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+    assert _run("certify", "--votes", missing) == 2
+    message = f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
+    assert capsys.readouterr().err == json.dumps({"error": "DataError", "message": message, "exit_code": 2}) + "\n"
 
 
 # a cell past int64, which the block reader refuses and the csv reader reads

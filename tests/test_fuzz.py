@@ -13,10 +13,11 @@ Sizes stay small: kd <= 64, at most 20 rows, budgets and attack sizes up to
 are class counts and labels from 2^40 up and the literal 10^11, which the
 allocator refuses at once; a size it would grant is never drawn.
 
-The last tests hold the training CSV's int64 block reader to the csv reader:
-``certify --dataset`` with and without the block reader must write the same
-bytes and exit with the same code, on generated files, on files of more than
-one 1,024-line block with a defect in a later one, and on pinned files.
+The last tests hold the int64 block reader to the csv reader: ``certify
+--dataset`` with and without the block reader must write the same bytes and
+exit with the same code, on generated training and test files, on training
+files of more than one 1,024-line block with a defect in a later one, and on
+pinned training and test files.
 """
 
 import contextlib
@@ -305,37 +306,47 @@ def test_argv_never_escapes(command, argv):
     _check([command, *argv], files)
 
 
-# --- the training CSV's int64 block reader against the csv reader -----------
+# --- the int64 block reader against the csv reader --------------------------
 
 
-def _certify_twice(train: bytes, argv, width: int = 2) -> bool:
-    """Run ``certify`` on ``train`` with and without the block reader; return whether it parsed every body block.
+def _certify_twice(train: bytes, argv, width: int = 2, test: bytes | None = None) -> dict[str, bool]:
+    """Run ``certify`` on ``train`` and ``test`` with and without the block reader.
 
-    Without it, every body block is refused, so the csv reader parses the
-    whole body and its rows are folded by the same ``arrays`` code. Both runs
-    must give the same exit code, stdout, stderr and written files. Any
-    warning raised in ``main`` is an error, so none can reach stderr.
+    Returns, for "train.csv" and "test.csv", whether the block reader parsed
+    every body block of that CSV that was read. Without it, every body block
+    is refused, so the csv reader parses the whole body, and the training
+    rows are folded and the test rows voted on by the same ``arrays`` code. Both runs must give the same exit code,
+    stdout, stderr and written files. Any warning raised in ``main`` is an
+    error, so none can reach stderr. The default test CSV holds three
+    labelled rows that the block reader parses.
     """
-    header = ",".join(["label"] + [f"f{i}" for i in range(width)])
-    test = f"{header}\n" + "".join(f"{c},{','.join([str(3 * c + 1)] * width)}\n" for c in range(3))
-    int64_block = arrays._int64_block
-    refused = []  # whether the normal run's block reader refused each block
+    if test is None:
+        header = ",".join(["label"] + [f"f{i}" for i in range(width)])
+        rows = "".join(f"{c},{','.join([str(3 * c + 1)] * width)}\n" for c in range(3))
+        test = f"{header}\n{rows}".encode("utf-8")
+    int64_block, read_text = arrays._int64_block, cli._read_text
+    refused = {"train.csv": [], "test.csv": []}  # whether the normal run's block reader refused each block
+    reading = []  # the name of each file read, the training CSV to its end before the test CSV
+
+    def read(path):
+        reading.append(Path(path).name)
+        return read_text(path)
 
     def record(*args):
         block = int64_block(*args)
-        refused.append(block is None)
+        refused[reading[-1]].append(block is None)
         return block
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "train.csv").write_bytes(train)
-        (Path(tmp) / "test.csv").write_text(test, encoding="utf-8")
+        (Path(tmp) / "test.csv").write_bytes(test)
         argv = [str(Path(tmp) / a) if a in FILES else a for a in argv]
         for parser in (record, lambda *args: None):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with mock.patch.object(arrays, "_int64_block", parser):
+                with mock.patch.object(arrays, "_int64_block", parser), mock.patch.object(cli, "_read_text", read):
                     code = main(argv)
             written = {}
             for name in ("out.json", "curve.csv", "saved.json"):
@@ -345,7 +356,7 @@ def _certify_twice(train: bytes, argv, width: int = 2) -> bool:
                     path.unlink()
             results.append((code, out.getvalue(), err.getvalue(), written))
     assert results[0] == results[1], argv
-    return not any(refused)
+    return {name: not any(blocks) for name, blocks in refused.items()}
 
 
 PARITY_ARGV = ["certify", "--dataset", "train.csv", "--test", "test.csv"]
@@ -354,10 +365,11 @@ PARITY_ARGV = ["certify", "--dataset", "train.csv", "--test", "test.csv"]
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_block_reader_matches_the_csv_reader(data):
-    broken = data.draw(st.sampled_from(["none", "train", "train", "options"]))
+    broken = data.draw(st.sampled_from(["none", "train", "train", "test", "options"]))
     width = data.draw(st.integers(1, 3))
     train = data.draw(csv_files(True, width, 20, broken == "train"))
-    _certify_twice(train, PARITY_ARGV + data.draw(options("certify", broken == "options")), width)
+    test = data.draw(csv_files(data.draw(st.booleans()), width, 6, broken == "test"))
+    _certify_twice(train, PARITY_ARGV + data.draw(options("certify", broken == "options")), width, test)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,4 +430,29 @@ def test_block_reader_matches_the_csv_reader_on_pinned_files(case):
     for learner in ("centroid", "majority"):
         argv = ["certify", "--dataset", "train.csv", "--test", "test.csv", "--k", "3", "--d", "2",
                 "--learner", learner, "--save-votes", "saved.json", *extra]
-        assert _certify_twice(train.encode("utf-8"), argv) == taken
+        assert _certify_twice(train.encode("utf-8"), argv)["train.csv"] == taken
+
+
+_TEST_ROWS = "".join(f"{i % 3},{i % 7},{i % 5}\n" for i in range(1100))  # two blocks
+PINNED_TESTS = {  # id: (test CSV, extra argv, whether the block reader parses every body block)
+    "no-label-column": ("f0,f1\n2,2\n8,8\n", [], True),
+    "quoted-cell": ('label,f0,f1\n0,"2",2\n1,8,8\n', [], False),
+    "2^64": (f"label,f0,f1\n0,2,2\n1,8,{2**64}\n", [], False),
+    "crlf": ("label,f0,f1\r\n0,2,2\r\n1,8,8\r\n", [], True),  # read as LF, by both readers
+    "bom-body": ("label,f0,f1\n\ufeff0,2,2\n", [], False),
+    "blank-lines": ("label,f0,f1\n\n0,2,2\n\n\n1,8,8\n\n", [], True),
+    "negative-label": ("label,f0,f1\n0,2,2\n-1,8,8\n", [], False),
+    "label-past-n-classes": ("label,f0,f1\n0,2,2\n4,8,8\n", ["--n-classes", "4"], False),
+    "two-blocks": ("label,f0,f1\n" + _TEST_ROWS, [], True),
+    "ragged-in-block-2": ("label,f0,f1\n" + _TEST_ROWS[:6300] + "0,1\n" + _TEST_ROWS[6306:], [], False),  # row 1050
+}
+
+
+@pytest.mark.parametrize("case", PINNED_TESTS)
+def test_block_reader_matches_the_csv_reader_on_pinned_test_files(case):
+    test, extra, taken = PINNED_TESTS[case]
+    train = ("label,f0,f1\n" + _ROWS).encode("utf-8")
+    for learner in ("centroid", "majority"):
+        argv = ["certify", "--dataset", "train.csv", "--test", "test.csv", "--k", "3", "--d", "2",
+                "--learner", learner, "--save-votes", "saved.json", *extra]
+        assert _certify_twice(train, argv, test=test.encode("utf-8"))["test.csv"] == taken
