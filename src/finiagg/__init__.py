@@ -4,7 +4,6 @@ from .datamodel import (
     AggregationConfig,
     Dataset,
     LabeledSample,
-    canonical_sort,
     validate_dataset,
 )
 from .ensemble import (
@@ -15,7 +14,6 @@ from .ensemble import (
     train_ensemble,
 )
 from .hashing import (
-    PartitionAssignment,
     SpreadOffsets,
     build_partitions,
     generate_offsets,
@@ -67,7 +65,6 @@ __all__ = [
     "LabeledSample",
     "LearnerSpec",
     "MarginTable",
-    "PartitionAssignment",
     "RadiusStats",
     "SampleCertificate",
     "SpreadOffsets",
@@ -77,7 +74,6 @@ __all__ = [
     "branch_and_bound_radius",
     "build_partitions",
     "build_report",
-    "canonical_sort",
     "certified_accuracy",
     "certified_fraction_curve",
     "certify_matrix",

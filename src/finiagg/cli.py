@@ -247,7 +247,7 @@ def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteM
         labels = _json_ints(raw_labels, "labels") if raw_labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"vote-matrix JSON missing or malformed field: {exc}") from exc
-    config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
+    config = AggregationConfig(k=k, d=d, n_classes=n_classes)
     return VoteMatrix(votes, config, offsets, labels)
 
 
@@ -346,7 +346,7 @@ def _matrix_from_args(args) -> VoteMatrix:
     rows = np.concatenate([np.empty((0, test.labeled + test.feature_dim), np.int64), *test.blocks()])
     features = rows[:, test.labeled:]
     labels = tuple(rows[:, 0].tolist()) if test.labeled else None  # Python ints, which json writes
-    config = AggregationConfig(k=args.k, d=args.d, seed=args.seed, n_classes=train.n_classes)
+    config = AggregationConfig(k=args.k, d=args.d, n_classes=train.n_classes)
     offsets = generate_offsets(args.k, args.d, args.seed, args.dpa_compatible)
     if stats is None:
         raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")

@@ -12,17 +12,16 @@ from typing import Iterable, Sequence
 from .errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LabeledSample:
-    """One training sample: non-negative integer features plus a class label.
-
-    The declared field order (features first, label last) is the canonical
-    lexicographic order of ``canonical_sort``. Training does not depend on
-    sample order, so nothing sorts a subset before training it.
-    """
+    """One training sample: non-negative features plus a class label, every cell an ``int``."""
 
     features: tuple[int, ...]
     label: int
+
+    def __post_init__(self):  # a bool or a float is refused, never coerced
+        if not all(type(v) is int for v in (*self.features, self.label)):
+            raise DataError(f"sample cells must be ints, got {self}")
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,8 @@ class Dataset:
             raise DataError(f"n_classes must be positive, got {self.n_classes}")
         if self.feature_dim < 1:
             raise DataError(f"feature_dim must be positive, got {self.feature_dim}")
-        for s in self.samples:
-            if len(s.features) != self.feature_dim:
-                raise DataError(f"sample has {len(s.features)} features, expected {self.feature_dim}")
-            if s.label < 0 or s.label >= self.n_classes:
-                raise DataError(f"sample label {s.label} outside [0, {self.n_classes})")
-            if any(v < 0 for v in s.features):
-                raise DataError("sample has a negative feature")
+        for idx, s in enumerate(self.samples):
+            check_row(idx, s.label, s.features, self.n_classes, self.feature_dim)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -57,12 +51,11 @@ class AggregationConfig:
     ``k`` is the inverse sensitivity (each sample reaches a 1/k fraction of
     the classifiers), ``d`` the spread degree (how many classifiers consume
     each partition). The ensemble has ``kd = k * d`` partitions and equally
-    many base classifiers. ``seed`` pins the offset generator.
+    many base classifiers.
     """
 
     k: int
     d: int
-    seed: int
     n_classes: int
 
     def __post_init__(self):
@@ -87,18 +80,18 @@ def validate_dataset(
 
     ``n_classes`` defaults to ``max(label) + 1``; ``feature_dim`` to the width
     of the first row (callers that parsed a CSV header pass it explicitly, so
-    even empty files validate). Errors name the offending zero-based row index.
+    even empty files validate). Errors name the offending zero-based row index,
+    except ``LabeledSample``'s refusal of a cell that is not an ``int``.
     """
     samples: list[LabeledSample] = []
     max_label = -1
     for idx, row in enumerate(rows):
-        label = int(row[0])
-        features = tuple(int(v) for v in row[1:])
+        sample = LabeledSample(tuple(row[1:]), row[0])
         if feature_dim is None:
-            feature_dim = len(features)
-        check_row(idx, label, features, n_classes, feature_dim)
-        max_label = max(max_label, label)
-        samples.append(LabeledSample(features, label))
+            feature_dim = len(sample.features)
+        check_row(idx, sample.label, sample.features, n_classes, feature_dim)
+        max_label = max(max_label, sample.label)
+        samples.append(sample)
 
     if n_classes is None:
         if max_label < 0:
@@ -124,12 +117,3 @@ def check_row(
         raise NegativeFeature(idx, col, features[col])
     if label < 0 or (n_classes is not None and label >= n_classes):
         raise LabelOutOfRange(idx, label, n_classes if n_classes is not None else 0)
-
-
-def canonical_sort(samples: Iterable[LabeledSample]) -> tuple[LabeledSample, ...]:
-    """Order a sample multiset lexicographically by (features, label).
-
-    The result is independent of the input order. Duplicates are preserved
-    (multiset semantics).
-    """
-    return tuple(sorted(samples, key=lambda s: (s.features, s.label)))

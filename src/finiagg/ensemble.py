@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .datamodel import AggregationConfig, Dataset
 from .errors import DataError, DimensionMismatch
-from .hashing import SpreadOffsets, build_partitions, generate_offsets, spread_inverse
+from .hashing import SpreadOffsets, build_partitions, spread_inverse
 from .learners import LearnerSpec, TrainedModel, argmax, train
 
 
@@ -66,7 +66,7 @@ def train_ensemble(
     dataset: Dataset,
     config: AggregationConfig,
     spec: LearnerSpec,
-    offsets: SpreadOffsets | None = None,
+    offsets: SpreadOffsets,
 ) -> list[TrainedModel]:
     """Train the ``kd`` base models from the ``kd`` partitions of the split hash.
 
@@ -74,11 +74,9 @@ def train_ensemble(
     ``spread_inverse(i, offsets)`` names, pooled in no particular order:
     both built-in learners reduce a subset to order-independent sums.
     """
-    if offsets is None:
-        offsets = generate_offsets(config.k, config.d, config.seed)
     if offsets.kd != config.kd:
         raise DataError(f"offsets kd={offsets.kd} does not match config kd={config.kd}")
-    partitions = build_partitions(dataset, config).partitions
+    partitions = build_partitions(dataset, config.kd)
     models = []
     for i in range(config.kd):
         pooled = [s for j in spread_inverse(i, offsets) for s in partitions[j]]

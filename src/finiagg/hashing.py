@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datamodel import AggregationConfig, Dataset, LabeledSample
+from .datamodel import Dataset, LabeledSample
 from .errors import DataError, DTooLarge, LimitError, UsageError
 
 _MASK64 = (1 << 64) - 1
@@ -97,8 +97,7 @@ def generate_offsets(
         raise DTooLarge(d, kd)
     if dpa_compatible and d != 1:
         raise UsageError(f"dpa-compatible mode requires d=1, got d={d}")
-    # made for {0} too: a kd the pool cannot hold is refused here, before a
-    # run builds its kd partitions and models one by one
+    # made for {0} too, so --dpa-compatible refuses the same kd as a seeded draw
     try:
         pool = list(range(kd))
     except MemoryError:
@@ -124,20 +123,9 @@ def spread_inverse(i: int, offsets: SpreadOffsets) -> frozenset[int]:
     return frozenset((i - r) % kd for r in offsets.offsets)
 
 
-@dataclass(frozen=True)
-class PartitionAssignment:
-    """The split stage: each sample placed in exactly one of ``kd`` partitions."""
-
-    kd: int
-    partition_of: tuple[int, ...]
-    partitions: tuple[tuple[LabeledSample, ...], ...]
-
-
-def build_partitions(dataset: Dataset, config: AggregationConfig) -> PartitionAssignment:
-    """Split the dataset into ``kd`` partitions by the split hash."""
-    kd = config.kd
-    partition_of = tuple(split_hash(s, kd) for s in dataset.samples)
+def build_partitions(dataset: Dataset, kd: int) -> tuple[tuple[LabeledSample, ...], ...]:
+    """Split the dataset by the split hash; returns the ``kd`` partitions, partition ``j`` at index ``j``."""
     buckets: list[list[LabeledSample]] = [[] for _ in range(kd)]
-    for s, j in zip(dataset.samples, partition_of):
-        buckets[j].append(s)
-    return PartitionAssignment(kd, partition_of, tuple(tuple(b) for b in buckets))
+    for s in dataset.samples:
+        buckets[split_hash(s, kd)].append(s)
+    return tuple(map(tuple, buckets))

@@ -79,7 +79,7 @@ def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
 
 def _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
     dataset = validate_dataset(train_rows, n_classes, width)
-    config = AggregationConfig(k=k, d=d, seed=seed, n_classes=dataset.n_classes)
+    config = AggregationConfig(k=k, d=d, n_classes=dataset.n_classes)
     offsets = generate_offsets(k, d, seed)
     models = train_ensemble(dataset, config, LearnerSpec(LEARNERS[learner]), offsets)
     return collect_votes(models, test_inputs, config, offsets).votes, models

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from finiagg import Dataset, LabeledSample, canonical_sort, validate_dataset
+from finiagg import Dataset, LabeledSample, validate_dataset
 from finiagg.errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow
 
 
@@ -50,34 +50,23 @@ def test_dataset_invariants_checked_on_construction():
         Dataset((LabeledSample((1,), 5),), n_classes=2, feature_dim=1)
     with pytest.raises(DataError):
         Dataset((LabeledSample((1, 2), 0),), n_classes=2, feature_dim=1)
+    # the rules and errors of check_row, which validate_dataset raises too
+    good = LabeledSample((1, 2), 0)
+    for bad, error in (
+        (LabeledSample((1,), 0), RaggedRow),
+        (LabeledSample((1, -3), 0), NegativeFeature),
+        (LabeledSample((1, 2), 2), LabelOutOfRange),
+    ):
+        with pytest.raises(error) as err:
+            Dataset((good, good, bad), n_classes=2, feature_dim=2)
+        assert err.value.row == 2
 
 
-def test_canonical_sort_orders_by_features_then_label():
-    a = LabeledSample((2, 0), 1)
-    b = LabeledSample((1, 9), 0)
-    assert canonical_sort([a, b]) == (b, a)
-    # label is the final tiebreak
-    x = LabeledSample((1, 1), 1)
-    y = LabeledSample((1, 1), 0)
-    assert canonical_sort([x, y]) == (y, x)
+@pytest.mark.parametrize("cell", [1.7, "3", True, 2.0])
+def test_cells_that_are_not_ints_are_refused_not_coerced(cell):
+    for row in ((0, cell, 2), (cell, 1, 2)):
+        with pytest.raises(DataError, match="must be ints"):
+            validate_dataset([(0, 1, 2), row])
+        with pytest.raises(DataError, match="must be ints"):
+            Dataset((LabeledSample(row[1:], row[0]),), n_classes=2, feature_dim=2)
 
-
-def test_canonical_sort_preserves_duplicates():
-    s = LabeledSample((3, 3), 1)
-    assert canonical_sort([s, s]) == (s, s)
-
-
-@given(
-    st.lists(
-        st.tuples(st.lists(st.integers(0, 9), min_size=2, max_size=2), st.integers(0, 3)),
-        max_size=12,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_canonical_sort_is_permutation_invariant_and_idempotent(raw, rnd):
-    samples = [LabeledSample(tuple(f), lab) for f, lab in raw]
-    shuffled = list(samples)
-    rnd.shuffle(shuffled)
-    once = canonical_sort(samples)
-    assert canonical_sort(shuffled) == once
-    assert canonical_sort(once) == once

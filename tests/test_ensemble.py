@@ -12,7 +12,6 @@ from finiagg import (
     aggregate_prediction,
     build_partitions,
     build_report,
-    canonical_sort,
     collect_votes,
     generate_offsets,
     predict,
@@ -35,12 +34,12 @@ def _toy_dataset():
 
 def test_d1_models_equal_per_partition_models():
     ds = _toy_dataset()
-    config = AggregationConfig(k=4, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=4, d=1, n_classes=2)
     offsets = SpreadOffsets((0,), 4)
     models = train_ensemble(ds, config, MAJORITY, offsets)
-    partitions = build_partitions(ds, config).partitions
+    partitions = build_partitions(ds, config.kd)
     for i, model in enumerate(models):
-        assert model == train(MAJORITY, canonical_sort(partitions[i]), 2)
+        assert model == train(MAJORITY, partitions[i][::-1], 2)
 
 
 def test_train_ensemble_hand_enumerated():
@@ -49,7 +48,7 @@ def test_train_ensemble_hand_enumerated():
     b = LabeledSample((1,), 0)   # hash 1
     c = LabeledSample((3,), 1)   # hash 3
     ds = Dataset((a, b, c), n_classes=2, feature_dim=1)
-    config = AggregationConfig(k=2, d=2, seed=0, n_classes=2)
+    config = AggregationConfig(k=2, d=2, n_classes=2)
     for spec in (MAJORITY, CENTROID):
         models = train_ensemble(ds, config, spec, SpreadOffsets((0, 1), 4))
         assert models == [
@@ -67,7 +66,7 @@ def test_train_ensemble_conserves_label_counts_and_feature_sums(rng):
         n = rng.randrange(12)
         rows = [(rng.randrange(3), rng.randrange(30), rng.randrange(5)) for _ in range(n)]
         ds = validate_dataset(rows, n_classes=3) if rows else Dataset((), 3, 2)
-        config = AggregationConfig(k=k, d=d, seed=7, n_classes=3)
+        config = AggregationConfig(k=k, d=d, n_classes=3)
         offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
         models = train_ensemble(ds, config, CENTROID, offsets)
         counts = [0] * 3
@@ -87,7 +86,7 @@ def test_train_ensemble_is_order_independent():
     rows = [(i % 3, i, i * i % 7) for i in range(20)]
     shuffled = list(rows)
     random.Random(5).shuffle(shuffled)
-    config = AggregationConfig(k=4, d=2, seed=3, n_classes=3)
+    config = AggregationConfig(k=4, d=2, n_classes=3)
     offsets = generate_offsets(4, 2, 3)
     for spec in (MAJORITY, CENTROID):
         one = train_ensemble(validate_dataset(rows), config, spec, offsets)
@@ -103,36 +102,36 @@ def test_models_equal_training_on_the_sorted_pooled_partitions(rng):
         pool = [(rng.randrange(3), rng.randrange(6), rng.randrange(6)) for _ in range(5)]
         rows = [rng.choice(pool) for _ in range(rng.randrange(15))]
         ds = validate_dataset(rows, n_classes=3) if rows else Dataset((), 3, 2)
-        config = AggregationConfig(k=k, d=d, seed=rng.randrange(100), n_classes=3)
-        offsets = generate_offsets(k, d, config.seed)
-        partitions = build_partitions(ds, config).partitions
+        config = AggregationConfig(k=k, d=d, n_classes=3)
+        offsets = generate_offsets(k, d, rng.randrange(100))
+        partitions = build_partitions(ds, config.kd)
         saw_empty |= any(not p for p in partitions)
         saw_duplicate |= len(set(rows)) < len(rows)
         for spec in (MAJORITY, CENTROID):
             models = train_ensemble(ds, config, spec, offsets)
             for i, model in enumerate(models):
                 pooled = [s for j in spread_inverse(i, offsets) for s in partitions[j]]
-                assert model == train(spec, canonical_sort(pooled), 3)
+                assert model == train(spec, pooled[::-1], 3)
     assert saw_empty and saw_duplicate
 
 
 def test_train_ensemble_rejects_offsets_of_another_kd():
-    config = AggregationConfig(k=2, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=2, d=1, n_classes=2)
     with pytest.raises(DataError):
         train_ensemble(_toy_dataset(), config, MAJORITY, SpreadOffsets((0,), 3))
 
 
 def test_empty_dataset_trains_constant_zero_models():
     ds = Dataset((), n_classes=3, feature_dim=2)
-    config = AggregationConfig(k=2, d=2, seed=1, n_classes=3)
-    models = train_ensemble(ds, config, MAJORITY)
+    config = AggregationConfig(k=2, d=2, n_classes=3)
+    models = train_ensemble(ds, config, MAJORITY, generate_offsets(2, 2, 1))
     assert len(models) == 4
     assert all(predict(m, [0, 0]) == 0 for m in models)
 
 
 def test_collect_votes_shape_and_metadata():
     ds = _toy_dataset()
-    config = AggregationConfig(k=3, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=3, d=1, n_classes=2)
     offsets = SpreadOffsets((0,), 3)
     models = train_ensemble(ds, config, MAJORITY, offsets)
     matrix = collect_votes(models, [(1, 2), (3, 4)], config, offsets, labels=[0, 1])
@@ -145,13 +144,13 @@ def test_collect_votes_shape_and_metadata():
 
 
 def test_collect_votes_requires_kd_models():
-    config = AggregationConfig(k=3, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=3, d=1, n_classes=2)
     with pytest.raises(DimensionMismatch):
         collect_votes([], [(1,)], config, SpreadOffsets((0,), 3))
 
 
 def test_vote_matrix_validates_entries():
-    config = AggregationConfig(k=2, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=2, d=1, n_classes=2)
     offsets = SpreadOffsets((0,), 2)
     with pytest.raises(DataError):
         VoteMatrix(((0, 5),), config, offsets)
@@ -177,7 +176,7 @@ def test_aggregate_prediction_is_permutation_invariant(row, rnd):
 def _matrix(votes, labels, n_classes=2, d=1):
     kd = len(votes[0])
     k = kd // d
-    config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
+    config = AggregationConfig(k=k, d=d, n_classes=n_classes)
     offsets = SpreadOffsets(tuple(range(d)), kd)
     return VoteMatrix(tuple(tuple(r) for r in votes), config, offsets,
                       tuple(labels) if labels is not None else None)
@@ -199,7 +198,7 @@ def test_ensemble_stats_tie_counts_for_the_smaller_index():
 
 def test_ensemble_stats_requires_labels_and_rows():
     assert build_report(_matrix([[0, 1]], None), 0).ensemble is None
-    config = AggregationConfig(k=2, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=2, d=1, n_classes=2)
     empty = VoteMatrix((), config, SpreadOffsets((0,), 2), labels=())
     with pytest.raises(EmptyTestSet):
         build_report(empty, 0)
@@ -207,7 +206,7 @@ def test_ensemble_stats_requires_labels_and_rows():
 
 def test_parallel_training_matches_sequential():
     ds = _toy_dataset()
-    config = AggregationConfig(k=3, d=2, seed=9, n_classes=2)
+    config = AggregationConfig(k=3, d=2, n_classes=2)
     offsets = SpreadOffsets((0, 2), 6)
     seq = train_ensemble(ds, config, MAJORITY, offsets)
     par = train_ensemble(ds, config, MAJORITY, offsets)

@@ -5,7 +5,6 @@ from finiagg import (
     LabeledSample,
     LearnerSpec,
     build_partitions,
-    canonical_sort,
     generate_offsets,
     split_hash,
     spread,
@@ -101,30 +100,29 @@ def _dataset(rows):
 
 def test_build_partitions_groups_by_hash():
     ds = _dataset([(0, 5), (1, 17)])
-    config = AggregationConfig(k=6, d=2, seed=0, n_classes=2)
-    assignment = build_partitions(ds, config)
-    assert assignment.partition_of == (5, 5)
-    assert len(assignment.partitions[5]) == 2
-    assert sum(len(p) for p in assignment.partitions) == len(ds)
+    config = AggregationConfig(k=6, d=2, n_classes=2)
+    partitions = build_partitions(ds, config.kd)
+    assert partitions[5] == ds.samples  # both samples hash to 5
+    assert sum(len(p) for p in partitions) == len(ds)
 
 
 def test_build_partitions_empty_dataset():
     ds = Dataset((), n_classes=2, feature_dim=1)
-    config = AggregationConfig(k=3, d=2, seed=0, n_classes=2)
-    assignment = build_partitions(ds, config)
-    assert len(assignment.partitions) == 6
-    assert all(p == () for p in assignment.partitions)
+    config = AggregationConfig(k=3, d=2, n_classes=2)
+    partitions = build_partitions(ds, config.kd)
+    assert len(partitions) == 6
+    assert all(p == () for p in partitions)
 
 
 def test_build_subsets_d1_reduces_to_plain_partitions():
     # d=1 is DPA: classifier i pools partition i alone, so its model is the
     # one trained on that partition (the former build_subsets layout).
     ds = _dataset([(0, 0), (0, 1), (1, 2), (1, 3), (0, 4)])
-    config = AggregationConfig(k=3, d=1, seed=0, n_classes=2)
+    config = AggregationConfig(k=3, d=1, n_classes=2)
     offsets = SpreadOffsets((0,), 3)
-    assignment = build_partitions(ds, config)
+    partitions = build_partitions(ds, config.kd)
     for spec in (LearnerSpec("majority-label"), LearnerSpec("nearest-centroid")):
         models = train_ensemble(ds, config, spec, offsets)
         for i in range(3):
             assert spread_inverse(i, offsets) == {i}
-            assert models[i] == train(spec, canonical_sort(assignment.partitions[i]), 2)
+            assert models[i] == train(spec, partitions[i][::-1], 2)

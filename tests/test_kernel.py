@@ -30,7 +30,7 @@ def test_kernel_matches_reference_on_every_small_row():
         for d in (d for d in range(1, kd + 1) if kd % d == 0):
             for n_classes in (2, 3):
                 rows = tuple(itertools.product(range(n_classes), repeat=kd))
-                config = AggregationConfig(k=kd // d, d=d, seed=0, n_classes=n_classes)
+                config = AggregationConfig(k=kd // d, d=d, n_classes=n_classes)
                 # each row once per label, so every row is certified both ways
                 labelled = tuple(row for row in rows for _ in range(n_classes))
                 labels = tuple(range(n_classes)) * len(rows)
@@ -62,7 +62,7 @@ def test_kernel_matches_reference_at_paper_scale(k, d, n_classes, seed, labelled
             tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
         )
     labels = tuple(rng.randrange(n_classes) for _ in rows) if labelled else None
-    config = AggregationConfig(k=k, d=d, seed=0, n_classes=n_classes)
+    config = AggregationConfig(k=k, d=d, n_classes=n_classes)
     _assert_matches_reference(VoteMatrix(tuple(rows), config, offsets, labels))
 
 
@@ -90,7 +90,7 @@ def test_dtypes_follow_their_bounds():
 
 def test_class_indices_beyond_64_bits_are_a_limit_error():
     n_classes = 2**63 + 1
-    config = AggregationConfig(k=2, d=1, seed=0, n_classes=n_classes)
+    config = AggregationConfig(k=2, d=1, n_classes=n_classes)
     matrix = VoteMatrix(((0, n_classes - 1),), config, SpreadOffsets((0,), 2))
     with pytest.raises(LimitError):
         certify_matrix(matrix)
