@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow
+from .errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow, RowError
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,15 @@ def validate_dataset(
 
     ``n_classes`` defaults to ``max(label) + 1``; ``feature_dim`` to the width
     of the first row (callers that parsed a CSV header pass it explicitly, so
-    even empty files validate). Errors name the offending zero-based row index,
-    except ``LabeledSample``'s refusal of a cell that is not an ``int``.
+    even empty files validate). Errors name the offending zero-based row index.
     """
     samples: list[LabeledSample] = []
     max_label = -1
     for idx, row in enumerate(rows):
-        sample = LabeledSample(tuple(row[1:]), row[0])
+        try:
+            sample = LabeledSample(tuple(row[1:]), row[0])
+        except DataError as exc:  # a cell that is not an ``int``
+            raise RowError(idx, str(exc)) from None
         if feature_dim is None:
             feature_dim = len(sample.features)
         check_row(idx, sample.label, sample.features, n_classes, feature_dim)

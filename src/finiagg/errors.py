@@ -26,22 +26,27 @@ class DataError(FiniteAggError):
     exit_code = 2
 
 
-class NegativeFeature(DataError):
+class RowError(DataError):
+    """A dataset row that breaks a rule; ``row`` is its zero-based index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+
+
+class NegativeFeature(RowError):
     def __init__(self, row: int, column: int, value: int):
-        super().__init__(f"row {row}: feature f{column} is negative ({value})")
-        self.row = row
+        super().__init__(row, f"feature f{column} is negative ({value})")
 
 
-class RaggedRow(DataError):
+class RaggedRow(RowError):
     def __init__(self, row: int, expected: int, got: int):
-        super().__init__(f"row {row}: expected {expected} feature columns, got {got}")
-        self.row = row
+        super().__init__(row, f"expected {expected} feature columns, got {got}")
 
 
-class LabelOutOfRange(DataError):
+class LabelOutOfRange(RowError):
     def __init__(self, row: int, label: int, n_classes: int):
-        super().__init__(f"row {row}: label {label} outside [0, {n_classes})")
-        self.row = row
+        super().__init__(row, f"label {label} outside [0, {n_classes})")
 
 
 class DTooLarge(UsageError):

@@ -9,9 +9,9 @@ expected vote fraction given that one sample is selected), and insertions
 draw from an unlimited supply of a single bulk element because a new
 sample has no conditional history.
 
-Everything is computed in exact rational arithmetic over all 2^|D|
-subsets, which caps this module at desk scale by design; it exists to
-study and test the scheme, not to run it on real datasets.
+Every one of the 2^|D| subsets is scored exactly, from per-class states, not
+trained models, which caps this module at desk scale by design; it exists
+to study and test the scheme, not to run it on real datasets.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .datamodel import Dataset, LabeledSample
-from .errors import DataError, InstanceTooLarge, LimitError
-from .learners import LearnerSpec, argmax, predict, train
+from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
+from .learners import NEAREST_CENTROID, LearnerSpec, argmax
 
 DEFAULT_LIMIT = 16
 
@@ -37,6 +39,14 @@ class IAVoteDistribution:
     k: int
     n_samples: int
     prediction: int
+
+
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """The sum of every subset of ``values``; subset j holds the values at the set bits of j."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
 
 
 def ia_votes(
@@ -59,64 +69,67 @@ def ia_vote_distributions(
 ) -> tuple[IAVoteDistribution, ...]:
     """Evaluate the subsampled ensemble exactly on every probe.
 
-    Subsets are enumerated by position bitmask, so duplicate samples carry
-    their multiplicity. A subset of size s has probability
-    (1/k)^s * (1 - 1/k)^(n - s); conditioning on position L rescales the
-    masks containing L by k (dropping L's own selection factor).
-
-    Each subset's model is trained once and votes on every probe. The votes
-    are tallied as integer counts per subset size, which take their
-    probabilities only at the end.
+    Subsets are enumerated by sample position, so duplicate samples carry
+    their multiplicity. A model sees its subset only through each class's
+    count m and feature sum s in it, and votes for the class whose state
+    ranks best: the smallest exact ``|m x - s|^2 / m^2`` (nearest-centroid)
+    or the largest m (majority-label), ties to the smaller index, class 0 if
+    none. Per probe, all classes but the largest fold into one list that the
+    largest one's states stream against, and each subset adds its positions
+    to its (size, vote) tally. A subset of size t weighs (k-1)^(n-t) / k^n,
+    and conditioning on position L scales the subsets holding L by k.
     """
     if k < 1:
         raise DataError(f"k must be positive, got {k}")
     n = len(dataset.samples)
     if n > limit:
         raise InstanceTooLarge(f"|D|={n} exceeds the exhaustive limit {limit}")
-    n_classes = dataset.n_classes
     try:
-        per_class = [[Fraction(0)] * n_classes for _ in probes]
-        conditional = [[[Fraction(0)] * n_classes for _ in range(n)] for _ in probes]
+        per_class = [[0] * dataset.n_classes for _ in probes]
+        conditional = [[[0] * dataset.n_classes for _ in range(n)] for _ in probes]
     except (MemoryError, OverflowError):
-        raise LimitError(f"class scores over {n_classes} classes do not fit in memory") from None
-    if not probes:
-        return ()  # no model to train
-
-    # per probe, (subset size, vote) -> how many such subsets hold each
-    # sample position, then how many there are in all
-    tallies = [{} for _ in probes]
-    for mask in range(1 << n):
-        held = [i for i in range(n) if mask >> i & 1]
-        model = train(spec, [dataset.samples[i] for i in held], n_classes)
-        size = len(held)
-        for tally, x in zip(tallies, probes):
-            key = (size, predict(model, x))
-            counts = tally.get(key)
-            if counts is None:
-                counts = tally[key] = [0] * (n + 1)
-            counts[n] += 1
-            for i in held:
-                counts[i] += 1
-
-    p = Fraction(1, k)
-    q = 1 - p
-    weight_by_size = [p**s * q ** (n - s) for s in range(n + 1)]
+        raise LimitError(f"class scores over {dataset.n_classes} classes do not fit in memory") from None
+    centroid = spec.kind == NEAREST_CENTROID
+    lane = n + 1  # a subset's positions as 1 << i * lane, and lane n counts it
+    states = {0: [(0, 0, 0)]}  # class -> (m, |s|^2, packed positions) per subset of its samples
+    for i, (f, c) in enumerate((s.features, s.label) for s in dataset.samples):
+        cross = _subset_sums([2 * sum(map(mul, g.features, f)) for g in dataset.samples[:i] if g.label == c])
+        own, f_sq = states.setdefault(c, [(0, 0, 0)]), sum(map(mul, f, f))
+        own += [(m + 1, q + v + f_sq, p + (1 << i * lane)) for (m, q, p), v in zip(own, cross)]
+    voters = sorted(states)  # class 0 votes for the empty subset, with or without samples
+    scale = lcm(*range(1, lane))  # a multiple of every count, so that ranks compare ints
+    *folded, streamed = sorted(voters, key=lambda c: len(states[c]))
+    total = k**n
     dists = []
-    for scores, cond, tally in zip(per_class, conditional, tallies):
-        for (size, voted), counts in tally.items():
-            weight = weight_by_size[size]
-            scores[voted] += weight * counts[n]
-            for i in range(n):
-                cond[i][voted] += weight * k * counts[i]
-        dists.append(
-            IAVoteDistribution(
-                per_class=tuple(scores),
-                conditional=tuple(tuple(row) for row in cond),
-                k=k,
-                n_samples=n,
-                prediction=argmax(scores),
-            )
+    for x, scores, cond in zip(probes, per_class, conditional):
+        if centroid and n and len(x) != dataset.feature_dim:
+            raise DimensionMismatch(f"expected {dataset.feature_dim} features, got {len(x)}")
+        # |m x - s|^2 / m^2 less the |x|^2 every state shares, (|s|^2 - 2 m x.s) / m^2, times scale^2
+        dot = [sum(map(mul, x, s.features)) if centroid else 0 for s in dataset.samples]
+        dots = {c: _subset_sums([d for d, s in zip(dot, dataset.samples) if s.label == c]) for c in states}
+        ranked = sorted(
+            ((q - 2 * m * dots[c][j]) * (scale // m) ** 2 if centroid else -m, c, j)
+            for c, own in states.items() for j, (m, q, _) in enumerate(own) if m
         )
+        rank = {c: [len(ranked)] * len(own) for c, own in states.items()}  # empty states rank last
+        for r, (_, c, j) in enumerate(ranked):
+            rank[c][j] = r
+        vote_slot = [voters.index(c) * lane for _, c, _ in ranked] + [0]  # rank -> (vote, size 0)
+        prefix = [(0, 1 << n * lane, len(ranked))]
+        for c in folded:
+            prefix = [(m1 + m2, p1 + p2, min(r1, r2))
+                      for m1, p1, r1 in prefix for (m2, _, p2), r2 in zip(states[c], rank[c])]
+        tally = [0] * (len(voters) * lane)
+        for (m2, _, p2), r2 in zip(states[streamed], rank[streamed]):
+            for m1, p1, r1 in prefix:
+                tally[vote_slot[min(r1, r2)] + m1 + m2] += p1 + p2
+        for slot, packed in enumerate(tally):
+            c, w = voters[slot // lane], (k - 1) ** (n - slot % lane)
+            for i, row in enumerate([*cond, scores]):
+                row[c] += w * (packed >> i * lane & (1 << lane) - 1)
+        scores = tuple(Fraction(v, total) for v in scores)
+        cond = tuple(tuple(Fraction(v * k, total) for v in row) for row in cond)
+        dists.append(IAVoteDistribution(scores, cond, k, n, argmax(scores)))
     return tuple(dists)
 
 

@@ -65,8 +65,9 @@ def test_dataset_invariants_checked_on_construction():
 @pytest.mark.parametrize("cell", [1.7, "3", True, 2.0])
 def test_cells_that_are_not_ints_are_refused_not_coerced(cell):
     for row in ((0, cell, 2), (cell, 1, 2)):
-        with pytest.raises(DataError, match="must be ints"):
+        with pytest.raises(DataError, match="must be ints") as err:
             validate_dataset([(0, 1, 2), row])
+        assert err.value.row == 1 and str(err.value).startswith("row 1: ")
         with pytest.raises(DataError, match="must be ints"):
             Dataset((LabeledSample(row[1:], row[0]),), n_classes=2, feature_dim=2)
 

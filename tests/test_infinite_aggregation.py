@@ -15,7 +15,8 @@ from finiagg import (
     predict,
     train,
 )
-from finiagg.errors import DataError, InstanceTooLarge
+from finiagg import cli
+from finiagg.errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
 from finiagg.learners import argmax
 
 MAJORITY = LearnerSpec("majority-label")
@@ -305,6 +306,112 @@ def test_batched_distributions_match_the_per_probe_definition(spec):
         assert ia_vote_distributions(dataset, probes, k, spec) == expected
         assert ia_votes(dataset, probes[0], k, spec) == expected[0]
     assert ia_vote_distributions(dataset, [], 2, spec) == ()
+
+
+BIG = 2**64 + 3
+
+# (samples, n_classes, probes, k) where the per-class states could part from
+# the per-probe definition
+EDGE_CASES = [
+    # classes without samples, and n_classes above the largest label + 1
+    ([((1, 2), 2), ((3, 1), 2), ((0, 4), 4)], 7, [(1, 1), (0, 5)], 3),
+    ([((2,), 1)], 4, [(0,), (2,)], 2),
+    # exact centroid-distance ties across classes, either label on either side
+    ([((0,), 0), ((2,), 1)], 2, [(1,)], 2),
+    ([((0,), 1), ((2,), 0)], 2, [(1,)], 2),
+    ([((0,), 2), ((4,), 2), ((1,), 1), ((3,), 1), ((2,), 0), ((2,), 1)], 3, [(2,), (1,), (3,)], 3),
+    ([((0, 0), 1), ((2, 2), 1), ((2, 0), 0), ((0, 2), 0), ((1, 1), 2)], 3, [(1, 1), (0, 1)], 2),
+    # equal samples under different labels
+    ([((3, 3), 0), ((3, 3), 2), ((3, 3), 1), ((3, 3), 2), ((1, 0), 0)], 3, [(3, 3), (0, 0)], 2),
+    # cells past 2^63
+    ([((BIG, 1), 0), ((BIG + 2, 5), 1), ((2**63, 2**70), 1), ((0, 2**70), 0)], 2,
+     [(BIG, 2**63), (0, 2**70)], 3),
+    # k = 1 and k = 10**12
+    ([((1,), 0), ((2,), 1), ((5,), 1), ((2,), 0)], 2, [(2,), (4,)], 1),
+    ([((1,), 0), ((2,), 1), ((5,), 1), ((2,), 0)], 3, [(2,), (4,)], 10**12),
+    # no samples at all, and one class holding every sample
+    ([], 3, [(1, 2), (0, 0)], 2),
+    ([((i % 3, i % 2), 1) for i in range(12)], 2, [(1, 1), (0, 2)], 3),
+]
+
+
+@pytest.mark.parametrize("spec", [MAJORITY, CENTROID], ids=["majority", "centroid"])
+def test_per_class_states_match_the_per_probe_definition_at_the_edges(spec):
+    rng = random.Random(18)
+    cases = list(EDGE_CASES)
+    for n in (11, 12, 13):
+        pool = [((rng.randrange(4), rng.randrange(4)), rng.randrange(3)) for _ in range(5)]
+        cases.append(([rng.choice(pool) for _ in range(n)], 4, [(1, 2), (3, 0)], rng.randint(2, 4)))
+    for pairs, n_classes, probes, k in cases:
+        dataset = Dataset(
+            tuple(LabeledSample(f, lab) for f, lab in pairs), n_classes, len(probes[0])
+        )
+        expected = tuple(_per_probe_distribution(dataset, x, k, spec) for x in probes)
+        assert ia_vote_distributions(dataset, probes, k, spec) == expected
+
+
+@pytest.mark.parametrize("spec", [MAJORITY, CENTROID], ids=["majority", "centroid"])
+def test_errors_keep_their_order(spec):
+    samples = tuple(LabeledSample((i, 1), i % 2) for i in range(6))
+    wide, narrow, empty = Dataset(samples, 2**40, 2), Dataset(samples, 2, 2), Dataset((), 2, 2)
+    probes = [(1, 1), (1, 1, 1), (2,)]  # the second and third have another width
+    with pytest.raises(DataError, match="k must be positive, got 0"):
+        ia_vote_distributions(wide, probes, 0, spec, limit=5)
+    with pytest.raises(InstanceTooLarge, match="exceeds the exhaustive limit 5"):
+        ia_vote_distributions(wide, probes, 2, spec, limit=5)
+    with pytest.raises(LimitError, match=f"class scores over {2**40} classes"):
+        ia_vote_distributions(wide, probes, 2, spec)
+    assert ia_vote_distributions(wide, [], 2, spec) == ()
+    for dataset in (empty, narrow) if spec == MAJORITY else (empty,):
+        expected = tuple(_per_probe_distribution(dataset, x, 2, spec) for x in probes)
+        assert ia_vote_distributions(dataset, probes, 2, spec) == expected
+    if spec == CENTROID:
+        with pytest.raises(DimensionMismatch) as learner:
+            predict(train(spec, samples, 2), probes[1])
+        with pytest.raises(DimensionMismatch) as batched:
+            ia_vote_distributions(narrow, probes, 2, spec)
+        assert str(batched.value) == str(learner.value) == "expected 2 features, got 3"
+
+
+def _csv(header, rows):
+    return ",".join(header) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("learner", ["majority", "centroid"])
+def test_ia_report_bytes_match_the_per_probe_reference(tmp_path, monkeypatch, learner):
+    def reference(dataset, probes, k, spec, limit):
+        return tuple(_per_probe_distribution(dataset, x, k, spec) for x in probes)
+
+    rng = random.Random(18)
+    for case in range(4):
+        n_classes, dim = rng.randint(2, 4), rng.randint(1, 3)
+        header = [f"f{j}" for j in range(dim)]
+        train_rows = [
+            [rng.randrange(n_classes)] + [rng.randrange(6) for _ in range(dim)]
+            for _ in range(rng.randint(3, 8))
+        ]
+        test_rows = [
+            [rng.randrange(n_classes)] + [rng.randrange(6) for _ in range(dim)] for _ in range(3)
+        ]
+        if case % 2:  # an unlabelled test CSV
+            test_rows = [row[1:] for row in test_rows]
+        (tmp_path / "train.csv").write_text(_csv(["label", *header], train_rows), encoding="utf-8")
+        (tmp_path / "test.csv").write_text(
+            _csv(header if case % 2 else ["label", *header], test_rows), encoding="utf-8"
+        )
+        argv = ["ia", "--dataset", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+                "--k", str(rng.randint(1, 4)), "--learner", learner]
+        if case >= 2:  # past the largest label + 1
+            argv += ["--n-classes", str(n_classes + 2)]
+        reports = []
+        for patch in (False, True):
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(cli, "ia_vote_distributions", reference)
+                out = tmp_path / f"ia_{patch}.json"
+                assert cli.main([*argv, "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("k", [0, -2])
