@@ -390,8 +390,9 @@ def certified_accuracy(
     ``conditional_certified`` is the reference for each row. Since Q holds
     exactly as many partitions as the adversary may touch, its top-|Q| sum
     is the sum over Q. A mispredicted row is never certified and a row whose
-    fine radius reaches |Q| is certified under every Q; only the others are
-    scored per Q, from their per-challenger losses ``e_j`` and margins.
+    fine radius reaches |Q| is certified under every Q; the others are
+    scored for all rows at once, each Q with one sum of Python ints whose
+    lanes hold every (row, challenger) margin (see ``_certified_accuracy``).
     """
     kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
     q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)
@@ -415,36 +416,54 @@ def _shared_set_size(labels, n_test: int, kd: int, budget: int, enumeration_cap:
 
 
 def _certified_accuracy(tables, radii: Sequence[int], q_size: int):
-    """``certified_accuracy``'s search over Q of ``q_size`` partitions; radius -1 is a mispredicted row."""
+    """``certified_accuracy``'s search over Q of ``q_size`` partitions; radius -1 is a mispredicted row.
+
+    Lanes: every challenger of a scored row (a class with votes, or the
+    smallest class without, which stands for them all) gets one ``L``-bit
+    lane of a Python int, and each row one spare carry bit after its lanes.
+    ``losses[j]`` holds partition j's loss ``e_j`` in every lane.
+
+    Clamp and bias: a sum of ``q_size`` losses is at most
+    ``cap = q_size * 2d < 2^(L-1)``, and a lane's bias is
+    ``2^(L-1) - 1 - min(rhs, cap)``. Biased sums stay in ``[0, 2^L)``, so no
+    lane carries into or borrows from the next, and a lane's top bit is set
+    exactly when the sum over Q exceeds the margin.
+
+    Fold: adding ``2^(lanes * L) - 1`` to a row's masked top bits carries
+    into its spare bit iff one is set, so one ``bit_count`` counts the rows
+    Q breaks. The first Q in lexicographic order that breaks the most wins.
+    """
     n, kd = len(tables), tables[0].kd
-    always = 0  # rows certified under every Q
-    scored = []  # (radius, per challenger: losses by partition and margin) of the rest
+    cap = q_size * 2 * tables[0].d
+    width = cap.bit_length() + 1
+    always = scored = 0  # rows certified under every Q, and rows some Q may break
+    losses, bias, tops, fill, carries = [0] * kd, 0, 0, 0, 0
+    shift = 0
     for table, radius in zip(tables, radii):
         if radius >= q_size:
             always += 1
         elif radius >= 0:
-            c = table.prediction
+            scored += 1
+            c, counts = table.prediction, table.global_counts
             a_c = table.partition_counts[c]
-            losses = [
-                ([table.d + a_c[j] - a_q[j] for j in range(kd)], table.rhs(cp))
-                for cp, a_q in enumerate(table.partition_counts)
-                if cp != c
-            ]
-            scored.append((radius, losses))
-    # Sturdier rows first: a Q's count then reaches the best one sooner and stops.
-    scored.sort(key=lambda row: row[0], reverse=True)
+            absent = counts.index(0) if 0 in counts else None  # stands for every class without votes
+            start = shift
+            for cp, a_q in enumerate(table.partition_counts):
+                if cp != c and (counts[cp] or cp == absent):
+                    for j in range(kd):
+                        losses[j] |= table.d + a_c[j] - a_q[j] << shift
+                    bias |= (1 << width - 1) - 1 - min(table.rhs(cp), cap) << shift
+                    shift += width
+                    tops |= 1 << shift - 1
+            fill |= (1 << shift) - (1 << start)
+            carries |= 1 << shift
+            shift += 1
 
-    best_hits, best_q = n + 1, ()
+    best_broken, best_q = -1, ()
     for q in combinations(range(kd), q_size):
-        hits = always
-        for _, losses in scored:
-            for e, rhs in losses:
-                if sum(map(e.__getitem__, q)) > rhs:
-                    break
-            else:
-                hits += 1
-                if hits >= best_hits:
-                    break  # this Q cannot replace the earlier one
-        if hits < best_hits:
-            best_hits, best_q = hits, q
-    return Fraction(best_hits, n), best_q
+        broken = ((sum(map(losses.__getitem__, q), bias) & tops) + fill & carries).bit_count()
+        if broken > best_broken:
+            best_broken, best_q = broken, q
+            if broken == scored:
+                break  # no later Q can break more rows
+    return Fraction(always + scored - best_broken, n), best_q

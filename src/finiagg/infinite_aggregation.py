@@ -16,9 +16,10 @@ to study and test the scheme, not to run it on real datasets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -74,10 +75,12 @@ def ia_vote_distributions(
     count m and feature sum s in it, and votes for the class whose state
     ranks best: the smallest exact ``|m x - s|^2 / m^2`` (nearest-centroid)
     or the largest m (majority-label), ties to the smaller index, class 0 if
-    none. Per probe, all classes but the largest fold into one list that the
-    largest one's states stream against, and each subset adds its positions
-    to its (size, vote) tally. A subset of size t weighs (k-1)^(n-t) / k^n,
-    and conditioning on position L scales the subsets holding L by k.
+    none. Per probe, all classes but the largest are ranked in one sorted
+    order and fold into one list; the largest one's states are placed among
+    those ranks by bisection and stream against the list, and each subset
+    adds its positions to its (size, vote) tally. A subset of size t weighs
+    (k-1)^(n-t) / k^n, and conditioning on position L scales the subsets
+    holding L by k.
     """
     if k < 1:
         raise DataError(f"k must be positive, got {k}")
@@ -107,20 +110,28 @@ def ia_vote_distributions(
         # |m x - s|^2 / m^2 less the |x|^2 every state shares, (|s|^2 - 2 m x.s) / m^2, times scale^2
         dot = [sum(map(mul, x, s.features)) if centroid else 0 for s in dataset.samples]
         dots = {c: _subset_sums([d for d, s in zip(dot, dataset.samples) if s.label == c]) for c in states}
-        ranked = sorted(
-            ((q - 2 * m * dots[c][j]) * (scale // m) ** 2 if centroid else -m, c, j)
-            for c, own in states.items() for j, (m, q, _) in enumerate(own) if m
-        )
-        rank = {c: [len(ranked)] * len(own) for c, own in states.items()}  # empty states rank last
+
+        def keyed(c):  # (rank key, class, index) of each nonempty state of class c
+            return (((q - 2 * m * dots[c][j]) * (scale // m) ** 2 if centroid else -m, c, j)
+                    for j, (m, q, _) in enumerate(states[c]) if m)
+
+        # folded state r ranks 2r + 1, a streamed state just before it 2r, and empty states last
+        ranked = sorted(chain.from_iterable(map(keyed, folded)))
+        last = 2 * len(ranked) + 1
+        rank = {c: [last] * len(states[c]) for c in folded}
         for r, (_, c, j) in enumerate(ranked):
-            rank[c][j] = r
-        vote_slot = [voters.index(c) * lane for _, c, _ in ranked] + [0]  # rank -> (vote, size 0)
-        prefix = [(0, 1 << n * lane, len(ranked))]
+            rank[c][j] = 2 * r + 1
+        streamed_slot = voters.index(streamed) * lane
+        vote_slot = [slot for _, c, _ in ranked for slot in (streamed_slot, voters.index(c) * lane)]
+        vote_slot += [streamed_slot, 0]  # rank -> (vote, size 0)
+        prefix = [(0, 1 << n * lane, last)]
         for c in folded:
             prefix = [(m1 + m2, p1 + p2, min(r1, r2))
                       for m1, p1, r1 in prefix for (m2, _, p2), r2 in zip(states[c], rank[c])]
+        # only state 0, the empty one, has m = 0; classes differ, so (key, class) places the rest
+        streamed_rank = chain([last], (2 * bisect_left(ranked, state) for state in keyed(streamed)))
         tally = [0] * (len(voters) * lane)
-        for (m2, _, p2), r2 in zip(states[streamed], rank[streamed]):
+        for (m2, _, p2), r2 in zip(states[streamed], streamed_rank):
             for m1, p1, r1 in prefix:
                 tally[vote_slot[min(r1, r2)] + m1 + m2] += p1 + p2
         for slot, packed in enumerate(tally):

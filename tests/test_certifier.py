@@ -413,3 +413,40 @@ def test_certified_accuracy_when_every_row_is_mispredicted_or_certified(budget):
     expected = (Fraction(int(budget <= fa_radius(unanimous[0], 0))), first_q)
     assert certified_accuracy(unanimous, [0, 1, 2], budget) == expected
     assert _brute_force_certified_accuracy(unanimous, [0, 1, 2], budget)[0] == expected
+
+
+def test_certified_accuracy_lanes_match_brute_force(rng):
+    """Cases where one lane per (row, challenger) margin in a shared int could go wrong.
+
+    One class and five or six, classes without votes (some below the
+    prediction) under an ``n_classes`` far above them, challengers whose
+    margin exceeds the cap ``|Q| * 2d`` beside binding ones, 20+ rows, d up
+    to 4, budgets 0, kd and kd + 2, and ties across Q.
+    """
+    tied = clamped = 0
+    for trial in range(48):
+        d = 1 + trial % 4
+        k = rng.randint(1, 10 // d)
+        kd = k * d
+        voted = (1, 2, 5, 6)[trial // 4 % 4]
+        n_classes = voted if trial % 3 == 0 else rng.choice([voted + 1, 40])
+        classes = rng.sample(range(n_classes), voted)  # the classes with votes
+        offsets = random_offsets(rng, k, d)
+        tables, labels = [], []
+        for _ in range(rng.randint(20, 26)):
+            favourite, share = rng.choice(classes), rng.uniform(0.3, 0.9)
+            rivals = rng.sample(classes, rng.randint(1, voted))  # often fewer than every voted class
+            row = tuple(favourite if rng.random() < share else rng.choice(rivals) for _ in range(kd))
+            tables.append(margin_table(row, offsets, n_classes))
+            labels.append(favourite if rng.random() < 0.9 else rng.randrange(n_classes))
+        for budget in sorted({0, rng.randint(1, 3), kd, kd + 2}):
+            expected, argmins = _brute_force_certified_accuracy(tables, labels, budget)
+            assert certified_accuracy(tables, labels, budget) == expected, (trial, budget)
+            tied += argmins > 1
+            cap = min(budget, kd) * 2 * d
+            clamped += sum(
+                0 <= fa_radius(t, l) < min(budget, kd)
+                and any(t.rhs(cp) > cap for cp in range(n_classes) if cp != t.prediction)
+                for t, l in zip(tables, labels)
+            )
+    assert tied and clamped  # the minimum was tied across Q, and some scored margins were clamped

@@ -465,6 +465,51 @@ def test_cert_acc_computes_each_radius_once(tmp_path, train_file, test_file, mon
         assert len(calls) == 3  # one per test row
 
 
+def test_cert_acc_report_bytes_match_the_brute_force_reference(tmp_path, monkeypatch):
+    import random
+    from itertools import combinations
+
+    from finiagg import cli
+    from finiagg.certifier import conditional_certified
+
+    from conftest import random_offsets
+
+    rng = random.Random(20)
+    for case in range(8):
+        d = rng.randint(1, 3)
+        k = rng.randint(2, 9 // d)
+        kd = k * d
+        n_classes = rng.randint(2, 5) + (0, 1, 30)[case % 3]
+        classes = rng.sample(range(n_classes), rng.randint(2, min(4, n_classes)))  # the rest get no votes
+        labels, rows = [], []
+        for _ in range(rng.randint(16, 24)):
+            favourite, share = rng.choice(classes), rng.uniform(0.4, 0.9)
+            rows.append([favourite if rng.random() < share else rng.choice(classes) for _ in range(kd)])
+            labels.append(favourite if rng.random() < 0.9 else rng.randrange(n_classes))
+        votes = tmp_path / f"votes_{case}.json"
+        votes.write_text(json.dumps({"k": k, "d": d, "offsets": list(random_offsets(rng, k, d).offsets),
+                                     "n_classes": n_classes, "labels": labels, "votes": rows}),
+                         encoding="utf-8")
+
+        def reference(tables, radii, q_size):  # the lowest accuracy over every Q, the first Q on ties
+            return min(
+                (Fraction(sum(conditional_certified(t, q, q_size, l) for t, l in zip(tables, labels)),
+                          len(tables)), q)
+                for q in combinations(range(kd), q_size)
+            )
+
+        for budget in (0, rng.randint(1, 3), kd + 2):
+            reports = []
+            for patch in (False, True):
+                with monkeypatch.context() as m:
+                    if patch:
+                        m.setattr(cli, "_certified_accuracy", reference)
+                    out = tmp_path / f"acc_{patch}.json"
+                    assert _run("cert-acc", "--votes", votes, "--budget", budget, "--out", out) == 0
+                    reports.append(out.read_bytes())
+            assert reports[0] == reports[1], (case, budget)
+
+
 def test_wide_class_indices_certify_like_the_reference(tmp_path):
     from conftest import reference_certificates
 

@@ -418,3 +418,17 @@ def test_ia_report_bytes_match_the_per_probe_reference(tmp_path, monkeypatch, le
 def test_nonpositive_k_is_a_data_error(k):
     with pytest.raises(DataError, match=f"k must be positive, got {k}"):
         ia_votes(_dataset([((1,), 0)], 2), (1,), k, MAJORITY)
+
+
+@pytest.mark.parametrize("spec", [MAJORITY, CENTROID], ids=["majority", "centroid"])
+@pytest.mark.parametrize("label", [0, 2])
+def test_one_class_of_many_samples_matches_the_per_probe_definition(spec, label):
+    # every state but the empty one is the streamed class's, placed among no ranked ones;
+    # 13 samples keep the reference's 2^13 models quick
+    rng = random.Random(label)
+    pairs = [(tuple(rng.randrange(256) for _ in range(4)), label) for _ in range(13)]
+    dataset = _dataset(pairs, 3)
+    probe = tuple(rng.randrange(256) for _ in range(4))
+    expected = _per_probe_distribution(dataset, probe, 3, spec)
+    assert ia_vote_distributions(dataset, [probe], 3, spec) == (expected,)
+    assert expected.prediction == label
