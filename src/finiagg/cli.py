@@ -4,7 +4,9 @@ Formats
 -------
 Dataset CSV: header ``label,f0,...,f{n-1}``, integer cells (ASCII digits,
 optional sign), UTF-8; CRLF and CR line ends are read as LF. Test CSVs may
-drop the label column (header ``f0,...``).
+drop the label column (header ``f0,...``). Each CSV is read line by line from
+its open file, never held whole; a byte that is not UTF-8 fails the cell or
+header name that holds it.
 
 Vote-matrix JSON::
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -88,16 +91,17 @@ def _read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _lines(text: str):
-    """Yield the lines of ``text`` split after each "\\n", as ``io.StringIO(text)`` would.
+def _text_lines(path: str | Path):
+    """Yield the lines of the file at ``path`` as they are read, CRLF and CR read as LF.
 
-    A ``StringIO`` would hold a copy of the text at four bytes a character.
+    A byte that is not UTF-8 reads as U+FFFD, which no cell or header name matches. The file is
+    closed when its lines run out or the generator is dropped.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
+    try:
+        with open(path, encoding="utf-8", errors="replace") as file:
+            yield from file
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_header(reader, path: str | Path) -> tuple[int, bool]:
@@ -137,7 +141,8 @@ def _int_rows(reader, path: str | Path, first: int = 0):
 
 
 class _CSV:
-    """A training or test CSV read once, front to back: the header, then ``rows()`` or ``blocks()``.
+    """A training or test CSV read once, front to back, from its open file: the header, then
+    ``rows()`` or ``blocks()``. A byte that is not UTF-8 is a non-integer cell or a bad header.
 
     Both yield the rows ``(label, f0, ...)``, or ``(f0, ...)`` for a test CSV without labels, and
     raise errors in this order: a malformed record or non-integer cell anywhere, then the first
@@ -148,7 +153,7 @@ class _CSV:
     """
 
     def __init__(self, path: str | Path, n_classes: int | None, test: bool = False):
-        self._lines, self._path, self.n_classes, self._test = _lines(_read_text(path)), path, n_classes, test
+        self._lines, self._path, self.n_classes, self._test = _text_lines(path), path, n_classes, test
         reader = csv.reader(self._lines)  # takes the header record's lines, and no more
         self.feature_dim, self.labeled = _read_header(reader, path)
         if not (test or self.labeled):
@@ -352,11 +357,11 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")
     # rebound, so the partition statistics are freed before the models vote
     stats = arrays.classifier_statistics(stats, offsets)
-    if kind == MAJORITY_LABEL:
-        votes = [stats.counts.argmax(axis=1).tolist()] * len(features)
+    if kind == MAJORITY_LABEL:  # every test row gets the same votes: one row, shared
+        votes = (tuple(stats.counts.argmax(axis=1).tolist()),) * len(features)
     else:
-        votes = arrays.centroid_votes(stats, features)
-    matrix = VoteMatrix(tuple(map(tuple, votes)), config, offsets, labels)
+        votes = tuple(map(tuple, arrays.centroid_votes(stats, features)))
+    matrix = VoteMatrix(votes, config, offsets, labels)
     del stats, votes, rows, features  # freed before the matrix is written or certified
     if args.save_votes:
         _write_text(args.save_votes, votes_to_json(matrix))
@@ -515,18 +520,7 @@ def cmd_oracle_check(args) -> int:
         "n_test": matrix.n_test,
         "ok": report.ok,
         "gap_histogram": {str(g): c for g, c in report.gap_histogram().items()},
-        "rows": [
-            {
-                "index": r.index,
-                "fa_radius": r.fa_radius,
-                "dpa_radius": r.dpa_radius,
-                "exact_radius": r.exact_radius,
-                "gap": r.gap,
-                "sound": r.sound,
-                "dpa_equivalent": r.dpa_equivalent,
-            }
-            for r in report.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in report.rows],  # the fields, in declaration order
     }
     _write_json(args.out, obj)
     if not report.ok:

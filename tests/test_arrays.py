@@ -59,11 +59,11 @@ def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
                 "--save-votes", tmp / "votes.json", "--out", tmp / "curve.csv"]
         if n_classes is not None:
             argv += ["--n-classes", n_classes]
-        int64_block, read_text, refused, reading = arrays._int64_block, cli._read_text, [], []
+        int64_block, text_lines, refused, reading = arrays._int64_block, cli._text_lines, [], []
 
         def read(path):  # the training CSV is read to its end before the test CSV is opened
             reading.append(str(path))
-            return read_text(path)
+            return text_lines(path)
 
         def record(*args):
             block = int64_block(*args)
@@ -71,7 +71,7 @@ def _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
                 refused.append(block is None)
             return block
 
-        with mock.patch.object(arrays, "_int64_block", record), mock.patch.object(cli, "_read_text", read):
+        with mock.patch.object(arrays, "_int64_block", record), mock.patch.object(cli, "_text_lines", read):
             assert cli.main([str(a) for a in argv]) == 0
         matrix = cli.load_votes(tmp / "votes.json")
         return matrix.votes, any(refused)

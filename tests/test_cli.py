@@ -779,6 +779,119 @@ def test_unreadable_vote_file_text_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == json.dumps({"error": "DataError", "message": message, "exit_code": 2}) + "\n"
 
 
+# a byte that is not UTF-8 reads as U+FFFD, so it fails the header name or cell that holds it:
+# id: (training CSV, test CSV or None for TEST_CSV, message)
+NOT_UTF_8 = {
+    "header": (b"label,f\xff0,f1\n0,1,2\n", None,
+               "{train}: header must be 'label,f0,...' or 'f0,...', got label,f\ufffd0,f1"),
+    "first-cell": (b"label,f0,f1\n\xff0,1,2\n", None, "{train}: row 0 has a non-integer cell"),
+    "quoted-cell": (b'label,f0,f1\n0,1,2\n0,"1\xff",2\n', None, "{train}: row 1 has a non-integer cell"),
+    "blank-line": (b"label,f0,f1\n0,1,2\n\xff\n0,1,2\n", None, "{train}: row 1 has a non-integer cell"),
+    "unterminated-last-line": (b"label,f0,f1\n0,1,2\n0,1,2\xff", None, "{train}: row 1 has a non-integer cell"),
+    "second-block": (b"label,f0,f1\n" + ROWS.encode("utf-8") + b"0,1,2\n1,\xff,2\n", None,
+                     "{train}: row 1025 has a non-integer cell"),
+    "test-labelled": (TRAIN_CSV.encode("utf-8"), b"label,f0,f1\n0,2,2\n1,\xff8,8\n",
+                      "{test}: row 1 has a non-integer cell"),
+    "test-unlabelled": (TRAIN_CSV.encode("utf-8"), b"f0,f1\n2,2\n8,8\xff\n", "{test}: row 1 has a non-integer cell"),
+    "test-header": (TRAIN_CSV.encode("utf-8"), b"label,f0,f1\xff\n0,2,2\n",
+                    "{test}: header must be 'label,f0,...' or 'f0,...', got label,f0,f1\ufffd"),
+    # it ranks as a non-integer cell: after an earlier one, and before every row check
+    "after-an-x-cell": (b"label,f0,f1\n0,1,x\n0,1,\xff\n", None, "{train}: row 0 has a non-integer cell"),
+    "after-a-ragged-row": (b"label,f0,f1\n0,1\n0,1,\xff\n", None, "{train}: row 1 has a non-integer cell"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF_8)
+def test_a_byte_that_is_not_utf_8_fails_the_cell_or_header_that_holds_it(tmp_path, case, capsys):
+    train_csv, test_csv, message = NOT_UTF_8[case]
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_bytes(train_csv)
+    test.write_bytes(TEST_CSV.encode("utf-8") if test_csv is None else test_csv)
+    want = {"error": "DataError", "message": message.format(train=train, test=test), "exit_code": 2}
+    for command in (["certify", "--k", 3, "--learner", "centroid"], ["certify", "--k", 3, "--learner", "majority"],
+                    ["ia", "--k", 2]):
+        assert _run(*command, "--dataset", train, "--test", test) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps(want) + "\n", command
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_a_byte_that_is_not_utf_8_in_a_pipe_fails_its_row(test_file, capsys):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"label,f0,f1\n0,1,2\n1,\xff,2\n")  # fits in the pipe's buffer
+    os.close(write_end)
+    pipe = f"/dev/fd/{read_end}"
+    try:
+        assert _run("certify", "--dataset", pipe, "--test", test_file) == 2
+    finally:
+        os.close(read_end)
+    want = {"error": "DataError", "message": f"{pipe}: row 1 has a non-integer cell", "exit_code": 2}
+    assert capsys.readouterr().err == json.dumps(want) + "\n"
+
+
+def test_every_csv_is_closed_however_its_read_ends(tmp_path, test_file):
+    from unittest import mock
+
+    from finiagg import cli
+
+    opened = []
+
+    def tracked(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    train, bad_test = tmp_path / "train.csv", tmp_path / "bad_test.csv"
+    bad_test.write_text("f0,g1\n" + "2,2\n" * 2000, encoding="utf-8")
+    # read to the end; failed at the header or at a cell, the lines after it unread; a test CSV failed
+    for train_csv, test, code in [(TRAIN_CSV, test_file, 0), ("label,f1\n" + ROWS, test_file, 2),
+                                  ("label,f0,f1\n0,1,x\n" + ROWS, test_file, 2), (TRAIN_CSV, bad_test, 2)]:
+        train.write_text(train_csv, encoding="utf-8")
+        for command in (["certify", "--k", 3], ["ia", "--k", 2]):
+            opened.clear()
+            with mock.patch.object(cli, "open", tracked, create=True):
+                assert _run(*command, "--dataset", train, "--test", test, "--out", tmp_path / "out") == code
+            assert opened and all(file.closed for file in opened), (train_csv[:12], test, command)
+
+
+@pytest.mark.parametrize("text", ["", "label,f0,f1\n", "label,f0,f1\n0,1,2\n"])
+def test_a_read_error_mid_file_is_a_data_error(tmp_path, text, capsys):
+    import io
+    from unittest import mock
+
+    from finiagg import cli
+
+    class FailingFile(io.StringIO):  # its text's lines, then a read error
+        def __next__(self):
+            if line := self.readline():
+                return line
+            raise OSError(5, "Input/output error")
+
+    files = []
+
+    def failing_open(path, **kwargs):
+        files.append(FailingFile(text))
+        return files[-1]
+
+    train = tmp_path / "train.csv"
+    want = {"error": "DataError", "message": f"cannot read {train}: [Errno 5] Input/output error", "exit_code": 2}
+    for command in (["certify", "--k", 3], ["ia", "--k", 2]):
+        files.clear()
+        with mock.patch.object(cli, "open", failing_open, create=True):
+            assert _run(*command, "--dataset", train, "--test", train) == 2
+        assert capsys.readouterr().err == json.dumps(want) + "\n"
+        assert len(files) == 1 and files[0].closed
+
+
+def test_a_majority_run_shares_one_vote_row(train_file, test_file):
+    from finiagg.cli import _matrix_from_args, build_parser
+
+    argv = ["certify", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2, "--learner", "majority"]
+    votes = _matrix_from_args(build_parser().parse_args(map(str, argv))).votes
+    assert len(votes) == 3
+    assert all(row is votes[0] for row in votes)
+
+
 # a cell past int64, which the block reader refuses and the csv reader reads
 HUGE_CELL_CSV = TRAIN_CSV.replace("0,1,2\n", f"0,1,{2**64}\n")
 

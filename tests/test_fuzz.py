@@ -324,13 +324,13 @@ def _certify_twice(train: bytes, argv, width: int = 2, test: bytes | None = None
         header = ",".join(["label"] + [f"f{i}" for i in range(width)])
         rows = "".join(f"{c},{','.join([str(3 * c + 1)] * width)}\n" for c in range(3))
         test = f"{header}\n{rows}".encode("utf-8")
-    int64_block, read_text = arrays._int64_block, cli._read_text
+    int64_block, text_lines = arrays._int64_block, cli._text_lines
     refused = {"train.csv": [], "test.csv": []}  # whether the normal run's block reader refused each block
     reading = []  # the name of each file read, the training CSV to its end before the test CSV
 
     def read(path):
         reading.append(Path(path).name)
-        return read_text(path)
+        return text_lines(path)
 
     def record(*args):
         block = int64_block(*args)
@@ -346,7 +346,7 @@ def _certify_twice(train: bytes, argv, width: int = 2, test: bytes | None = None
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with mock.patch.object(arrays, "_int64_block", parser), mock.patch.object(cli, "_read_text", read):
+                with mock.patch.object(arrays, "_int64_block", parser), mock.patch.object(cli, "_text_lines", read):
                     code = main(argv)
             written = {}
             for name in ("out.json", "curve.csv", "saved.json"):
