@@ -6,21 +6,8 @@ from .datamodel import (
     LabeledSample,
     validate_dataset,
 )
-from .ensemble import (
-    EnsembleStats,
-    VoteMatrix,
-    aggregate_prediction,
-    collect_votes,
-    train_ensemble,
-)
-from .hashing import (
-    SpreadOffsets,
-    build_partitions,
-    generate_offsets,
-    split_hash,
-    spread,
-    spread_inverse,
-)
+from .ensemble import EnsembleStats, VoteMatrix, aggregate_prediction
+from .hashing import SpreadOffsets, generate_offsets, spread
 from .certifier import (
     CertificateReport,
     MarginTable,
@@ -30,29 +17,15 @@ from .certifier import (
     certified_accuracy,
     certified_fraction_curve,
     certify_matrix,
-    conditional_certified,
     dpa_baseline_radius,
-    dpa_radius,
     fa_radius,
     margin_table,
     margin_tables,
     radius_stats,
 )
-from .infinite_aggregation import (
-    IAVoteDistribution,
-    ia_brute_force_check,
-    ia_radius,
-    ia_vote_distributions,
-    ia_votes,
-)
-from .learners import LearnerSpec, predict, train
-from .oracle import (
-    VerificationReport,
-    branch_and_bound_radius,
-    conditional_exact_check,
-    exact_poison_radius,
-    verify_certificates,
-)
+from .infinite_aggregation import IAVoteDistribution, ia_radius, ia_vote_distributions
+from .learners import LearnerSpec
+from .oracle import VerificationReport, branch_and_bound_radius, verify_certificates
 
 __version__ = "0.1.0"
 
@@ -101,3 +74,15 @@ __all__ = [
     "validate_dataset",
     "verify_certificates",
 ]
+
+
+def __getattr__(name: str):
+    """Load ``finiagg.reference`` on first use of a name it exports (PEP 562).
+
+    ``import finiagg.cli`` runs this module, and no command runs a reference.
+    """
+    if name in __all__:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

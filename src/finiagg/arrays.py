@@ -13,8 +13,9 @@ The class axis has one entry per label up to the largest training label,
 not ``n_classes``: a class without samples never wins. Sums and products are
 int64 while their bounds stay below 2^63 and Python ints (object arrays) past
 it, so votes are exact at any magnitude, as in ``train_ensemble`` and
-``collect_votes``, the readable reference these functions are checked
-against; a test width unlike the training width raises ``DimensionMismatch``.
+``collect_votes`` of ``finiagg.reference``, which these functions are
+checked against; a test width unlike the training width raises
+``DimensionMismatch``.
 """
 
 from __future__ import annotations

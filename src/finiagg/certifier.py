@@ -19,7 +19,9 @@ The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
 
 ``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius`` is the
-readable reference. ``certify_matrix``, the array kernel every report's
+readable reference, kept here while ``cert-acc`` and ``oracle-check`` run
+it; the rest, ``dpa_radius`` and ``conditional_certified``, is in
+``finiagg.reference``. ``certify_matrix``, the array kernel every report's
 certificates come from, gives the same certificates without tables: every
 ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
 ``2d + 1``-bin histogram of the losses instead of a sort.
@@ -133,18 +135,6 @@ def _scan_radius(elements_desc: Sequence[int], rhs: int) -> int:
     return m
 
 
-def dpa_radius(row: Sequence[int], n_classes: int, label: int | None = None) -> int:
-    """Certified radius of a plain disjoint-partition ensemble of k classifiers.
-
-    Each poison changes at most one vote, shifting the margin to any
-    challenger by at most 2, hence ``floor(rhs / 2)`` per challenger: the
-    2d-cap baseline of the row read as a d=1 ensemble (offsets ``{0}``).
-    Returns -1 when a label is supplied and the prediction misses it.
-    """
-    table = margin_table(row, SpreadOffsets((0,), len(row)), n_classes)
-    return dpa_baseline_radius(table, label)
-
-
 def fa_radius(table: MarginTable, label: int | None = None) -> int:
     """Certified radius from the per-partition margin statistics.
 
@@ -175,32 +165,6 @@ def dpa_baseline_radius(table: MarginTable, label: int | None = None) -> int:
             continue
         radius = min(radius, max(0, table.rhs(cp) // (2 * table.d)))
     return radius
-
-
-def conditional_certified(
-    table: MarginTable,
-    affected: Iterable[int],
-    budget: int,
-    label: int | None = None,
-) -> bool:
-    """Certify against adversaries confined to the given partition set.
-
-    True iff the prediction is correct (when a label is given) and, for every
-    challenger, the sum of the ``min(budget, |Q|)`` largest delta elements
-    restricted to the partitions in ``Q`` stays within the margin.
-    """
-    c = table.prediction
-    if label is not None and c != label:
-        return False
-    q = tuple(affected)
-    take = max(0, min(budget, len(q)))
-    for cp in range(table.n_classes):
-        if cp == c:
-            continue
-        elements = table.delta_elements(cp, q)
-        if sum(elements[:take]) > table.rhs(cp):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -387,12 +351,13 @@ def certified_accuracy(
     so smaller Q never attain the minimum. Returns the minimum and the first
     Q (in lexicographic order) attaining it.
 
-    ``conditional_certified`` is the reference for each row. Since Q holds
-    exactly as many partitions as the adversary may touch, its top-|Q| sum
-    is the sum over Q. A mispredicted row is never certified and a row whose
-    fine radius reaches |Q| is certified under every Q; the others are
-    scored for all rows at once, each Q with one sum of Python ints whose
-    lanes hold every (row, challenger) margin (see ``_certified_accuracy``).
+    ``finiagg.reference.conditional_certified`` is the reference for each
+    row. Since Q holds exactly as many partitions as the adversary may
+    touch, its top-|Q| sum is the sum over Q. A mispredicted row is never
+    certified and a row whose fine radius reaches |Q| is certified under
+    every Q; the others are scored for all rows at once, each Q with one
+    sum of Python ints whose lanes hold every (row, challenger) margin (see
+    ``_certified_accuracy``).
     """
     kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
     q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)

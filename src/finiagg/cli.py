@@ -239,7 +239,7 @@ def _json_ints(values, field: str) -> tuple[int, ...]:
 def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteMatrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
     except ValueError:  # json, like int(), refuses past sys.get_int_max_str_digits()
         raise LimitError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from None

@@ -1,10 +1,12 @@
-"""Ensemble training, vote collection, and aggregated prediction.
+"""The vote matrix and the ensemble's aggregated prediction.
 
 The vote matrix is the sole input to every certificate downstream: row t
 holds the ``kd`` class votes for test input t, one per base classifier.
 Votes are kept as a dense table (not per-class counts) because the
 certificates need per-partition counts, which require knowing which
-classifier cast each vote.
+classifier cast each vote. ``arrays`` trains the ensemble and collects its
+votes; the readable reference it is checked against is
+``finiagg.reference``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .datamodel import AggregationConfig, Dataset
+from .datamodel import AggregationConfig
 from .errors import DataError, DimensionMismatch
-from .hashing import SpreadOffsets, build_partitions, spread_inverse
-from .learners import LearnerSpec, TrainedModel, argmax, train
+from .hashing import SpreadOffsets
+from .learners import argmax
 
 
 @dataclass(frozen=True)
@@ -60,42 +62,6 @@ class VoteMatrix:
 class EnsembleStats:
     clean_accuracy: Fraction
     base_accuracy: Fraction
-
-
-def train_ensemble(
-    dataset: Dataset,
-    config: AggregationConfig,
-    spec: LearnerSpec,
-    offsets: SpreadOffsets,
-) -> list[TrainedModel]:
-    """Train the ``kd`` base models from the ``kd`` partitions of the split hash.
-
-    Model ``i`` trains on the union of the ``d`` partitions that
-    ``spread_inverse(i, offsets)`` names, pooled in no particular order:
-    both built-in learners reduce a subset to order-independent sums.
-    """
-    if offsets.kd != config.kd:
-        raise DataError(f"offsets kd={offsets.kd} does not match config kd={config.kd}")
-    partitions = build_partitions(dataset, config.kd)
-    models = []
-    for i in range(config.kd):
-        pooled = [s for j in spread_inverse(i, offsets) for s in partitions[j]]
-        models.append(train(spec, pooled, config.n_classes))
-    return models
-
-
-def collect_votes(
-    models: Sequence[TrainedModel],
-    test_inputs: Sequence[Sequence[int]],
-    config: AggregationConfig,
-    offsets: SpreadOffsets,
-    labels: Sequence[int] | None = None,
-) -> VoteMatrix:
-    """Evaluate every model on every test input."""
-    if len(models) != config.kd:
-        raise DimensionMismatch(f"{len(models)} models for kd={config.kd}")
-    rows = tuple(tuple(m.predict(x) for m in models) for x in test_inputs)
-    return VoteMatrix(rows, config, offsets, tuple(labels) if labels is not None else None)
 
 
 def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:

@@ -6,6 +6,8 @@ classifiers ``{(j + r) mod kd : r in R}`` for a fixed offset set ``R``; its
 inverse tells each classifier which partitions it trains on. Any distinct-
 element ``R`` makes the hash balanced, so every partition feeds exactly
 ``d`` classifiers and every classifier consumes exactly ``d`` partitions.
+The split hash and the inverse are the readable reference in
+``finiagg.reference``; ``arrays`` applies them to blocks of rows.
 
 Offset generation is pinned to a named, platform-independent generator so
 that identical ``(k, d, seed)`` inputs yield bit-identical layouts anywhere:
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datamodel import Dataset, LabeledSample
 from .errors import DataError, DTooLarge, LimitError, UsageError
 
 _MASK64 = (1 << 64) - 1
@@ -73,14 +74,6 @@ class SpreadOffsets:
         return len(self.offsets)
 
 
-def split_hash(sample: LabeledSample, kd: int) -> int:
-    """Partition index of a sample: sum of its feature values mod ``kd``.
-
-    The label is deliberately excluded from the sum.
-    """
-    return sum(sample.features) % kd
-
-
 def generate_offsets(
     k: int, d: int, seed: int, dpa_compatible: bool = False
 ) -> SpreadOffsets:
@@ -100,7 +93,7 @@ def generate_offsets(
     # made for {0} too, so --dpa-compatible refuses the same kd as a seeded draw
     try:
         pool = list(range(kd))
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise LimitError(f"the {kd} partitions do not fit in memory") from None
     if dpa_compatible:
         return SpreadOffsets((0,), kd)
@@ -115,17 +108,3 @@ def spread(j: int, offsets: SpreadOffsets) -> frozenset[int]:
     """Classifier indices that consume partition ``j``."""
     kd = offsets.kd
     return frozenset((j + r) % kd for r in offsets.offsets)
-
-
-def spread_inverse(i: int, offsets: SpreadOffsets) -> frozenset[int]:
-    """Partition indices consumed by classifier ``i``."""
-    kd = offsets.kd
-    return frozenset((i - r) % kd for r in offsets.offsets)
-
-
-def build_partitions(dataset: Dataset, kd: int) -> tuple[tuple[LabeledSample, ...], ...]:
-    """Split the dataset by the split hash; returns the ``kd`` partitions, partition ``j`` at index ``j``."""
-    buckets: list[list[LabeledSample]] = [[] for _ in range(kd)]
-    for s in dataset.samples:
-        buckets[split_hash(s, kd)].append(s)
-    return tuple(map(tuple, buckets))

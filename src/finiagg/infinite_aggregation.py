@@ -11,7 +11,9 @@ sample has no conditional history.
 
 Every one of the 2^|D| subsets is scored exactly, from per-class states, not
 trained models, which caps this module at desk scale by design; it exists
-to study and test the scheme, not to run it on real datasets.
+to study and test the scheme, not to run it on real datasets. The readable
+reference, one probe at a time and its exhaustive attack check, is in
+``finiagg.reference``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .datamodel import Dataset, LabeledSample
+from .datamodel import Dataset
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
 from .learners import NEAREST_CENTROID, LearnerSpec, argmax
 
@@ -48,17 +50,6 @@ def _subset_sums(values: Sequence[int]) -> list[int]:
     for v in values:
         sums += [s + v for s in sums]
     return sums
-
-
-def ia_votes(
-    dataset: Dataset,
-    features: Sequence[int],
-    k: int,
-    spec: LearnerSpec,
-    limit: int = DEFAULT_LIMIT,
-) -> IAVoteDistribution:
-    """Evaluate the subsampled ensemble exactly on one input; see ``ia_vote_distributions``."""
-    return ia_vote_distributions(dataset, [features], k, spec, limit)[0]
 
 
 def ia_vote_distributions(
@@ -182,40 +173,3 @@ def ia_radius(dist: IAVoteDistribution) -> int:
             m += steps - (strict and rest == 0)
         radius = min(radius, m)
     return radius
-
-
-def ia_brute_force_check(
-    dataset: Dataset,
-    features: Sequence[int],
-    k: int,
-    spec: LearnerSpec,
-    budget: int,
-    pool: Sequence[LabeledSample],
-    limit: int = DEFAULT_LIMIT,
-) -> bool:
-    """Exhaustively confirm the prediction survives every reachable attack.
-
-    Attacks remove up to ``budget`` samples from the dataset and insert
-    up to the remaining budget from ``pool`` (with repetition). Every
-    enumerated variant stays within the symmetric-distance ball, but the
-    restricted pool covers only part of it: a True result is necessary
-    for a sound certificate, never proof of tightness.
-    """
-    n = len(dataset.samples)
-    if n + budget > limit:
-        raise InstanceTooLarge(
-            f"|D|+budget={n + budget} exceeds the exhaustive limit {limit}"
-        )
-    baseline = ia_votes(dataset, features, k, spec, limit).prediction
-    positions = range(n)
-    for removals in range(budget + 1):
-        for removed in combinations(positions, removals):
-            kept = [s for i, s in enumerate(dataset.samples) if i not in removed]
-            for insertions in range(budget - removals + 1):
-                for added in combinations_with_replacement(pool, insertions):
-                    variant = Dataset(
-                        tuple(kept) + tuple(added), dataset.n_classes, dataset.feature_dim
-                    )
-                    if ia_votes(variant, features, k, spec, limit).prediction != baseline:
-                        return False
-    return True

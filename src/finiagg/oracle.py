@@ -15,17 +15,16 @@ and the search ascends by |H|, short-circuiting at the first flip; a
 flip found at size m also exists at every larger size (supersets only add
 adversary freedom), so the first failing level fixes the exact radius.
 
-``exact_poison_radius`` enumerates every subset of each size and is the
-readable reference; ``verify_certificates`` runs ``branch_and_bound_radius``,
-the same search pruned by a bound on what the partitions still to pick can
-add, which gives the same radius on every row.
+The readable reference, ``exact_poison_radius`` in ``finiagg.reference``,
+enumerates every subset of each size; ``verify_certificates`` runs
+``branch_and_bound_radius``, the same search pruned by a bound on what the
+partitions still to pick can add, which gives the same radius on every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .certifier import dpa_baseline_radius, fa_radius, margin_table
 from .ensemble import aggregate_prediction
@@ -43,59 +42,6 @@ def _partition_masks(offsets: SpreadOffsets) -> list[int]:
             mask |= 1 << i
         masks.append(mask)
     return masks
-
-
-def _class_masks(row: Sequence[int], n_classes: int) -> list[int]:
-    masks = [0] * n_classes
-    for i, v in enumerate(row):
-        masks[v] |= 1 << i
-    return masks
-
-
-def _flips(
-    subset: tuple[int, ...],
-    part_masks: Sequence[int],
-    class_masks: Sequence[int],
-    counts: Sequence[int],
-    prediction: int,
-) -> bool:
-    affected = 0
-    for j in subset:
-        affected |= part_masks[j]
-    size = affected.bit_count()
-    hit = [(affected & class_masks[c]).bit_count() for c in range(len(counts))]
-    winner_left = counts[prediction] - hit[prediction]
-    for w in range(len(counts)):
-        if w == prediction:
-            continue
-        gained = counts[w] - hit[w] + size
-        if gained > winner_left or (gained == winner_left and w < prediction):
-            return True
-    return False
-
-
-def exact_poison_radius(
-    row: Sequence[int],
-    offsets: SpreadOffsets,
-    n_classes: int,
-    label: int | None = None,
-    limit: int = DEFAULT_LIMIT,
-) -> int:
-    """Largest budget no exhaustive attack can beat; -1 on a wrong prediction."""
-    kd = offsets.kd
-    if kd > limit:
-        raise InstanceTooLarge(f"kd={kd} exceeds the oracle limit {limit}")
-    prediction = aggregate_prediction(row, n_classes)
-    if label is not None and prediction != label:
-        return -1
-    part_masks = _partition_masks(offsets)
-    class_masks = _class_masks(row, n_classes)
-    counts = [m.bit_count() for m in class_masks]
-    for m in range(1, kd + 1):
-        for subset in combinations(range(kd), m):
-            if _flips(subset, part_masks, class_masks, counts, prediction):
-                return m - 1
-    return kd
 
 
 def branch_and_bound_radius(
@@ -178,36 +124,6 @@ def _gains_past(m: int, threshold: int, gain, masks: Sequence[int], prefix: Sequ
         return False
 
     return search(0, 0, m)
-
-
-def conditional_exact_check(
-    row: Sequence[int],
-    offsets: SpreadOffsets,
-    affected: Iterable[int],
-    budget: int,
-    n_classes: int,
-    label: int | None = None,
-    limit: int = DEFAULT_LIMIT,
-) -> bool:
-    """True iff no attack confined to the given partitions flips the prediction."""
-    kd = offsets.kd
-    if kd > limit:
-        raise InstanceTooLarge(f"kd={kd} exceeds the oracle limit {limit}")
-    prediction = aggregate_prediction(row, n_classes)
-    if label is not None and prediction != label:
-        return False
-    q = tuple(affected)
-    take = max(0, min(budget, len(q)))
-    if take == 0:
-        return True
-    part_masks = _partition_masks(offsets)
-    class_masks = _class_masks(row, n_classes)
-    counts = [m.bit_count() for m in class_masks]
-    # Flips are monotone in the touched set, so only maximal subsets matter.
-    for subset in combinations(q, take):
-        if _flips(subset, part_masks, class_masks, counts, prediction):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

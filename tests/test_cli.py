@@ -470,7 +470,7 @@ def test_cert_acc_report_bytes_match_the_brute_force_reference(tmp_path, monkeyp
     from itertools import combinations
 
     from finiagg import cli
-    from finiagg.certifier import conditional_certified
+    from finiagg.reference import conditional_certified
 
     from conftest import random_offsets
 
@@ -608,6 +608,69 @@ for argv in (
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_imports_the_references(tmp_path, train_file, test_file):
+    import subprocess
+    import sys
+
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({**VOTES, "votes": [[1, 0]]}), encoding="utf-8")
+    data = ["--dataset", str(train_file), "--test", str(test_file), "--k", "3", "--d", "2"]
+    script = f"""
+import sys
+import finiagg.cli
+assert "finiagg.reference" not in sys.modules, "import finiagg.cli"
+for argv in (
+    ["certify", "--votes", {str(votes)!r}],
+    ["certify", "--verbose", *{data!r}],
+    ["certify", *{data!r}, "--learner", "centroid"],
+    ["certify", *{data!r}, "--learner", "majority"],
+    ["curve", *{data!r}],
+    ["compare", *{data!r}],
+    ["cert-acc", *{data!r}],
+    ["oracle-check", *{data!r}],
+    ["ia", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "2"],
+):
+    assert finiagg.cli.main(argv) == 0, argv
+    assert "finiagg.reference" not in sys.modules, argv
+assert finiagg.train is sys.modules["finiagg.reference"].train
+from finiagg import spread_inverse
+assert spread_inverse is finiagg.reference.spread_inverse
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "cert-acc", "oracle-check"])
+@pytest.mark.parametrize("extra_key", [False, True])
+def test_deeply_nested_vote_json_is_a_data_error(tmp_path, capsys, command, extra_key):
+    nested = "[" * 3000 + "]" * 3000
+    text = json.dumps(VOTES)[:-1] + f', "extra": {nested}}}' if extra_key else nested
+    votes = tmp_path / "votes.json"
+    votes.write_text(text, encoding="utf-8")
+    assert _run(command, "--votes", votes) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert (error["error"], error["exit_code"]) == ("DataError", 2)
+    # the rest of the message is the json decoder's own
+    assert error["message"].startswith("invalid vote-matrix JSON: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "layout, kd",
+    [(["--k", 2**70], 2**70), (["--k", 2**70, "--dpa-compatible"], 2**70), (["--k", 2**32, "--d", 2**32], 2**64)],
+)
+def test_partitions_past_2_63_are_a_limit_error(train_file, test_file, capsys, layout, kd):
+    assert _run("certify", "--dataset", train_file, "--test", test_file, *layout) == 3
+    out, err = capsys.readouterr()
+    message = f"the {kd} partitions do not fit in memory"
+    assert out == ""
+    assert err == json.dumps({"error": "LimitError", "message": message, "exit_code": 3}) + "\n"
 
 
 def test_vote_json_holds_one_row_per_line():

@@ -21,7 +21,7 @@ from finiagg import (
 )
 from finiagg.datamodel import Dataset
 from finiagg.errors import DataError, DimensionMismatch, EmptyTestSet
-from finiagg.hashing import SpreadOffsets, spread_inverse
+from finiagg import SpreadOffsets, spread_inverse
 
 MAJORITY = LearnerSpec("majority-label")
 CENTROID = LearnerSpec("nearest-centroid")
