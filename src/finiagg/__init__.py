@@ -10,17 +10,11 @@ from .ensemble import EnsembleStats, VoteMatrix, aggregate_prediction
 from .hashing import SpreadOffsets, generate_offsets, spread
 from .certifier import (
     CertificateReport,
-    MarginTable,
     RadiusStats,
     SampleCertificate,
     build_report,
-    certified_accuracy,
     certified_fraction_curve,
     certify_matrix,
-    dpa_baseline_radius,
-    fa_radius,
-    margin_table,
-    margin_tables,
     radius_stats,
 )
 from .infinite_aggregation import IAVoteDistribution, ia_radius, ia_vote_distributions

@@ -1,8 +1,8 @@
 """Exact integer certificates against training-set poisoning.
 
-Everything here works on one test sample's margin table: the global vote
-counts ``N_c`` over the ``kd`` classifiers and the per-partition counts
-``a[c][j]`` over the ``d`` classifiers that consume partition ``j``.
+Everything here works on one test sample's vote counts: the global counts
+``N_c`` over the ``kd`` classifiers and the per-partition counts ``a[c][j]``
+over the ``d`` classifiers that consume partition ``j``.
 
 One poison lands in a single partition ``j`` and can, at worst, turn all
 ``d`` classifiers consuming ``j`` toward a challenger ``c'``: the winner
@@ -18,18 +18,20 @@ inequalities: this is the fractional certificate multiplied through by
 The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
 
-``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius`` is the
-readable reference, kept here while ``cert-acc`` and ``oracle-check`` run
-it; the rest, ``dpa_radius`` and ``conditional_certified``, is in
-``finiagg.reference``. ``certify_matrix``, the array kernel every report's
-certificates come from, gives the same certificates without tables: every
-``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
-``2d + 1``-bin histogram of the losses instead of a sort.
+Every ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
+``2d + 1``-bin histogram of the losses instead of a sort. Two routines give
+those histograms: ``_row_losses`` in NumPy for the reports, and the
+NumPy-free ``_vote_losses`` for ``cert-acc`` and ``oracle-check``. Both feed
+one per-row rule, ``_certificate``. The readable reference they are checked
+against, ``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius``, is
+in ``finiagg.reference``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,127 +46,10 @@ from .errors import (
     LimitError,
     MissingLabels,
 )
-from .hashing import SpreadOffsets, spread
+from .hashing import SpreadOffsets
 from .learners import argmax
 
-
-@dataclass(frozen=True)
-class MarginTable:
-    """Vote statistics of one test sample, global and per partition."""
-
-    prediction: int
-    kd: int
-    d: int
-    n_classes: int
-    global_counts: tuple[int, ...]
-    partition_counts: tuple[tuple[int, ...], ...]  # [class][partition]
-
-    def __post_init__(self):
-        if sum(self.global_counts) != self.kd:
-            raise DataError("global vote counts do not sum to kd")
-        for j in range(self.kd):
-            if sum(self.partition_counts[c][j] for c in range(self.n_classes)) != self.d:
-                raise DataError(f"partition {j}: per-class counts do not sum to d")
-        for c in range(self.n_classes):
-            if sum(self.partition_counts[c]) != self.d * self.global_counts[c]:
-                raise DataError(f"class {c}: partition counts do not sum to d * N_c")
-
-    def rhs(self, challenger: int) -> int:
-        """Integer margin against ``challenger``, tie-break included."""
-        c = self.prediction
-        return (
-            self.global_counts[c]
-            - self.global_counts[challenger]
-            - (1 if challenger < c else 0)
-        )
-
-    def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
-        """Worst-case margin losses ``e_j``, sorted descending.
-
-        ``scope`` restricts the partitions an adversary may touch; the
-        default is all of them.
-        """
-        c = self.prediction
-        a_c = self.partition_counts[c]
-        a_q = self.partition_counts[challenger]
-        js = range(self.kd) if scope is None else scope
-        return sorted((self.d + a_c[j] - a_q[j] for j in js), reverse=True)
-
-
-def margin_table(row: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> MarginTable:
-    """Tabulate one vote row into global and per-partition counts.
-
-    The table has a row for every one of the ``n_classes`` classes; when
-    they cannot be allocated, ``LimitError`` says so.
-    """
-    kd = offsets.kd
-    d = offsets.d
-    try:
-        counts = [0] * n_classes
-        per_part = [[0] * kd for _ in range(n_classes)]
-    except (MemoryError, OverflowError):
-        raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
-    for v in row:
-        counts[v] += 1
-    for j in range(kd):
-        for i in spread(j, offsets):
-            per_part[row[i]][j] += 1
-    return MarginTable(
-        argmax(counts),
-        kd,
-        d,
-        n_classes,
-        tuple(counts),
-        tuple(tuple(r) for r in per_part),
-    )
-
-
-def _scan_radius(elements_desc: Sequence[int], rhs: int) -> int:
-    """Largest m whose top-m element sum stays within rhs.
-
-    Elements are non-negative, so prefix sums are nondecreasing and a linear
-    scan suffices.
-    """
-    total = 0
-    m = 0
-    for e in elements_desc:
-        total += e
-        if total > rhs:
-            break
-        m += 1
-    return m
-
-
-def fa_radius(table: MarginTable, label: int | None = None) -> int:
-    """Certified radius from the per-partition margin statistics.
-
-    For each challenger, the radius is the largest budget whose worst-case
-    margin loss (top-m sum of the delta multiset) stays within the integer
-    margin; the sample's radius is the minimum over challengers, capped at
-    ``kd``. Returns -1 when a label is supplied and the prediction misses it.
-    """
-    c = table.prediction
-    if label is not None and c != label:
-        return -1
-    radius = table.kd
-    for cp in range(table.n_classes):
-        if cp == c:
-            continue
-        radius = min(radius, _scan_radius(table.delta_elements(cp), table.rhs(cp)))
-    return radius
-
-
-def dpa_baseline_radius(table: MarginTable, label: int | None = None) -> int:
-    """Baseline radius over the same kd classifiers with every e_j at its cap 2d."""
-    c = table.prediction
-    if label is not None and c != label:
-        return -1
-    radius = table.kd
-    for cp in range(table.n_classes):
-        if cp == c:
-            continue
-        radius = min(radius, max(0, table.rhs(cp) // (2 * table.d)))
-    return radius
+ENUMERATION_CAP = 10**6  # the most shared poison sets Q that cert-acc scores by default
 
 
 @dataclass(frozen=True)
@@ -187,11 +72,6 @@ class CertificateReport:
     curve: tuple[Fraction, ...]
     stats: RadiusStats
     ensemble: EnsembleStats | None  # None without labels
-
-
-def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
-    n_classes = matrix.config.n_classes
-    return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
 def _int_dtype(bound: int, what: str):
@@ -257,34 +137,140 @@ def _row_losses(matrix: VoteMatrix):
         yield c, counts[c], challengers(row, c, counts)
 
 
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's unsigned formats, by size in bytes
+
+
+def _width(bound: int, what: str) -> int:
+    """Fewest bytes, of 1, 2, 4 and 8, that hold every value in ``[0, bound]``."""
+    for width in _FORMATS:
+        if bound >> 8 * width == 0:
+            return width
+    raise LimitError(f"{what} up to {bound} do not fit in a 64-bit integer")
+
+
+def _lanes(losses: bytes, d: int) -> Sequence[int]:
+    """The losses packed in ``losses``: the bytes themselves, or unpacked past one byte each."""
+    width = _width(2 * d, "margin losses")
+    return losses if width == 1 else struct.unpack(f"<{len(losses) // width}{_FORMATS[width]}", losses)
+
+
+@dataclass(frozen=True)
+class RowLosses:
+    """One vote row's losses against each challenger, as ``_vote_losses`` gives them.
+
+    ``counts`` holds ``N_q`` of the prediction and of every challenger: the
+    classes with votes and the smallest class without, which stands for the
+    rest. ``losses[q]`` packs partition j's loss ``d + a[c][j] - a[q][j]``
+    into bytes ``[j * w, (j + 1) * w)``, little-endian, where ``w`` is the
+    fewest bytes that hold ``2d``; ``hists[q][e]`` counts the partitions whose
+    loss is e. The fields and ``rhs`` and ``delta_elements`` are named as
+    ``MarginTable``'s, so the reference rules read a row as they read its table.
+    """
+
+    prediction: int
+    kd: int
+    d: int
+    n_classes: int
+    counts: dict[int, int]
+    losses: dict[int, bytes]
+    hists: dict[int, list[int]]
+
+    def rhs(self, challenger: int) -> int:
+        c = self.prediction
+        return self.counts[c] - self.counts.get(challenger, 0) - (challenger < c)
+
+    def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
+        if challenger not in self.counts:  # no votes: the losses of the class that stands for it
+            challenger = min(self.counts, key=self.counts.__getitem__)
+        lanes = _lanes(self.losses[challenger], self.d)
+        return sorted((lanes[j] for j in (range(self.kd) if scope is None else scope)), reverse=True)
+
+    def certificate(self, label: int | None) -> SampleCertificate:
+        c, counts = self.prediction, self.counts
+        challengers = ((q, counts[q], hist) for q, hist in self.hists.items())
+        return _certificate(c, counts[c], challengers, label, self.kd, self.d)
+
+
+def _vote_losses(votes: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> RowLosses:
+    """``_row_losses`` for one row without NumPy: the losses of ``cert-acc`` and ``oracle-check``.
+
+    The classes with votes are numbered densely in class order and each vote
+    is packed as its number, in as few bytes as the count needs. A class's
+    one-hot is the AND, over those bytes, of ``bytes.translate`` marking its
+    byte. ``a[q]`` is one Python int with a ``w``-byte lane per partition: the
+    one-hot rotated by each offset and summed. No lane carries or borrows,
+    since a count is at most d and a loss at most 2d.
+    """
+    kd, d = offsets.kd, offsets.d
+    lane = _width(2 * d, "margin losses")
+    tally = Counter(votes)
+    classes = sorted(tally)
+    c = classes[argmax([tally[q] for q in classes])]
+    number = {q: i for i, q in enumerate(classes)}
+    code = _width(len(classes) - 1, "class numbers")
+    packed = struct.pack(f"<{kd}{_FORMATS[code]}", *map(number.__getitem__, votes))
+    planes = [packed[b::code] for b in range(code)]
+
+    def per_partition(q: int) -> int:  # a[q]
+        hot = -1
+        for plane, byte in zip(planes, number[q].to_bytes(code, "little")):
+            mark = bytearray(256)
+            mark[byte] = 1
+            hot &= int.from_bytes(plane.translate(mark), "little")
+        wide = bytearray(kd * lane)
+        wide[::lane] = hot.to_bytes(kd, "little")
+        wide *= 2
+        return sum(int.from_bytes(wide[r * lane:(r + kd) * lane], "little") for r in offsets.offsets)
+
+    top = per_partition(c) + int.from_bytes(d.to_bytes(lane, "little") * kd, "little")  # d + a[c]
+    counts = {q: tally[q] for q in classes}
+    absent = next((i for i, q in enumerate(classes) if q != i), len(classes))
+    if absent < n_classes:
+        counts[absent] = 0
+    losses = {
+        q: (top - per_partition(q) if n_q else top).to_bytes(kd * lane, "little")
+        for q, n_q in counts.items() if q != c
+    }
+    hists = {q: list(map(_lanes(e, d).count, range(2 * d + 1))) for q, e in losses.items()}
+    return RowLosses(c, kd, d, n_classes, counts, losses, hists)
+
+
+def _certificate(
+    c: int, n_c: int, challengers: Iterable[tuple[int, int, list[int]]], label: int | None, kd: int, d: int
+) -> SampleCertificate:
+    """One row's certificate from its challengers' ``(q, N_q, hist)``.
+
+    The fine radius is ``_histogram_radius`` and the baseline ``rhs // 2d``,
+    each the least over the challengers. A mispredicted row never reads its
+    challengers.
+    """
+    if label is not None and c != label:
+        return SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1)
+    fine = base = kd
+    for q, n_q, hist in challengers:
+        rhs = n_c - n_q - (q < c)
+        fine = min(fine, _histogram_radius(hist, rhs))
+        base = min(base, rhs // (2 * d))
+    return SampleCertificate(
+        predicted=c,
+        correct=None if label is None else True,
+        dpa_radius=base,
+        fa_radius=fine,
+    )
+
+
 def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
     """Per-sample certificates for every row of a vote matrix, from ``_row_losses``.
 
     Every report's certificates come from here; ``fa_radius`` and
-    ``dpa_baseline_radius`` over ``margin_tables`` are the reference this is
-    checked against. A mispredicted row never sums its challengers' losses.
+    ``dpa_baseline_radius`` over ``margin_tables`` in ``finiagg.reference``
+    are the rules this is checked against.
     """
     kd, d, labels = matrix.config.kd, matrix.config.d, matrix.labels
-    certs = []
-    for t, (c, n_c, challengers) in enumerate(_row_losses(matrix)):
-        label = labels[t] if labels is not None else None
-        if label is not None and c != label:
-            certs.append(SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1))
-            continue
-        fine = base = kd
-        for q, n_q, hist in challengers:
-            rhs = n_c - n_q - (q < c)
-            fine = min(fine, _histogram_radius(hist, rhs))
-            base = min(base, rhs // (2 * d))
-        certs.append(
-            SampleCertificate(
-                predicted=c,
-                correct=None if label is None else True,
-                dpa_radius=base,
-                fa_radius=fine,
-            )
-        )
-    return certs
+    return [
+        _certificate(c, n_c, challengers, None if labels is None else labels[t], kd, d)
+        for t, (c, n_c, challengers) in enumerate(_row_losses(matrix))
+    ]
 
 
 def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tuple[Fraction, ...]:
@@ -338,35 +324,8 @@ def build_report(matrix: VoteMatrix, max_attack_size: int) -> CertificateReport:
     return CertificateReport(tuple(certs), curve, stats, ensemble)
 
 
-def certified_accuracy(
-    tables: Sequence[MarginTable],
-    labels: Sequence[int],
-    budget: int,
-    enumeration_cap: int = 10**6,
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Worst-case test accuracy over all attacks sharing one poison set.
-
-    Minimizes the mean conditional certificate over every partition subset Q
-    of size ``min(budget, kd)``; larger scopes only weaken the certificate,
-    so smaller Q never attain the minimum. Returns the minimum and the first
-    Q (in lexicographic order) attaining it.
-
-    ``finiagg.reference.conditional_certified`` is the reference for each
-    row. Since Q holds exactly as many partitions as the adversary may
-    touch, its top-|Q| sum is the sum over Q. A mispredicted row is never
-    certified and a row whose fine radius reaches |Q| is certified under
-    every Q; the others are scored for all rows at once, each Q with one
-    sum of Python ints whose lanes hold every (row, challenger) margin (see
-    ``_certified_accuracy``).
-    """
-    kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
-    q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)
-    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
-    return _certified_accuracy(tables, radii, q_size)
-
-
 def _shared_set_size(labels, n_test: int, kd: int, budget: int, enumeration_cap: int) -> int:
-    """``min(budget, kd)``, the size of every Q, after the checks that need no margin table, in order."""
+    """``min(budget, kd)``, the size of every Q, after the checks that need no losses, in order."""
     if labels is None or len(labels) != n_test:
         raise MissingLabels("certified accuracy")
     if budget < 0:
@@ -380,49 +339,69 @@ def _shared_set_size(labels, n_test: int, kd: int, budget: int, enumeration_cap:
     return q_size
 
 
-def _certified_accuracy(tables, radii: Sequence[int], q_size: int):
-    """``certified_accuracy``'s search over Q of ``q_size`` partitions; radius -1 is a mispredicted row.
+def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size: int):
+    """Worst-case accuracy over every Q of ``q_size`` partitions, and the first Q attaining it.
 
-    Lanes: every challenger of a scored row (a class with votes, or the
-    smallest class without, which stands for them all) gets one ``L``-bit
-    lane of a Python int, and each row one spare carry bit after its lanes.
-    ``losses[j]`` holds partition j's loss ``e_j`` in every lane.
+    Radius -1 is a mispredicted row, never certified; a row whose fine radius
+    reaches ``q_size`` is certified under every Q. Since Q holds exactly as
+    many partitions as the adversary may touch, its top-|Q| sum is the sum
+    over Q (``reference.conditional_certified`` is the rule for one row). The
+    other rows are scored for all Q at once, each Q with one sum of Python
+    ints whose lanes hold every (row, challenger) margin.
+
+    Lanes: each challenger of a scored row whose own radius is below
+    ``q_size`` (no other can break) gets one lane of ``size`` bytes, and each
+    row one spare lane after its own. ``losses[j]`` holds partition j's loss
+    in every lane. It is read off the joined lanes' bytes by transposition,
+    every ``kd * size``-th byte, so the fill is linear in the rows.
 
     Clamp and bias: a sum of ``q_size`` losses is at most
-    ``cap = q_size * 2d < 2^(L-1)``, and a lane's bias is
+    ``cap = q_size * 2d < 2^(L-1)``, ``L = 8 * size``, and a lane's bias is
     ``2^(L-1) - 1 - min(rhs, cap)``. Biased sums stay in ``[0, 2^L)``, so no
     lane carries into or borrows from the next, and a lane's top bit is set
     exactly when the sum over Q exceeds the margin.
 
-    Fold: adding ``2^(lanes * L) - 1`` to a row's masked top bits carries
-    into its spare bit iff one is set, so one ``bit_count`` counts the rows
+    Fold: adding ones over a row's lanes to their masked top bits carries
+    into its spare lane iff one is set, so one ``bit_count`` counts the rows
     Q breaks. The first Q in lexicographic order that breaks the most wins.
     """
-    n, kd = len(tables), tables[0].kd
-    cap = q_size * 2 * tables[0].d
-    width = cap.bit_length() + 1
+    n, kd, d = len(rows), rows[0].kd, rows[0].d
+    cap = q_size * 2 * d
+    lane = _width(2 * d, "margin losses")
+    size = max(lane, (cap.bit_length() + 8) // 8)
+    bits = 8 * size
     always = scored = 0  # rows certified under every Q, and rows some Q may break
-    losses, bias, tops, fill, carries = [0] * kd, 0, 0, 0, 0
+    chunks, bias, tops, fill, carries = [], 0, 0, 0, 0
     shift = 0
-    for table, radius in zip(tables, radii):
+    for row, radius in zip(rows, radii):
         if radius >= q_size:
             always += 1
         elif radius >= 0:
             scored += 1
-            c, counts = table.prediction, table.global_counts
-            a_c = table.partition_counts[c]
-            absent = counts.index(0) if 0 in counts else None  # stands for every class without votes
             start = shift
-            for cp, a_q in enumerate(table.partition_counts):
-                if cp != c and (counts[cp] or cp == absent):
-                    for j in range(kd):
-                        losses[j] |= table.d + a_c[j] - a_q[j] << shift
-                    bias |= (1 << width - 1) - 1 - min(table.rhs(cp), cap) << shift
-                    shift += width
+            for q, hist in row.hists.items():
+                rhs = row.rhs(q)
+                if _histogram_radius(hist, rhs) < q_size:
+                    chunk = bytearray(kd * size)
+                    for b in range(lane):
+                        chunk[b::size] = row.losses[q][b::lane]
+                    chunks.append(chunk)
+                    bias |= (1 << bits - 1) - 1 - min(rhs, cap) << shift
+                    shift += bits
                     tops |= 1 << shift - 1
             fill |= (1 << shift) - (1 << start)
             carries |= 1 << shift
-            shift += 1
+            chunks.append(bytes(kd * size))  # the spare lane
+            shift += bits
+    joined = b"".join(chunks)
+    del chunks
+    losses = []
+    for j in range(kd):
+        part = bytearray(len(joined) // kd)
+        for b in range(size):
+            part[b::size] = joined[j * size + b::kd * size]
+        losses.append(int.from_bytes(part, "little"))
+    del joined
 
     best_broken, best_q = -1, ()
     for q in combinations(range(kd), q_size):

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .certifier import (
-    _certified_accuracy, _row_losses, _shared_set_size, build_report, fa_radius, margin_tables,
+    ENUMERATION_CAP, _certified_accuracy, _row_losses, _shared_set_size, _vote_losses, build_report,
 )
 from .datamodel import AggregationConfig, Dataset, LabeledSample, check_row, validate_dataset
 from .ensemble import VoteMatrix
@@ -49,9 +49,9 @@ from .errors import (
     UsageError,
 )
 from .hashing import SpreadOffsets, generate_offsets
-from .infinite_aggregation import ia_radius, ia_vote_distributions
+from .infinite_aggregation import DEFAULT_LIMIT as IA_LIMIT, ia_radius, ia_vote_distributions
 from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec
-from .oracle import verify_certificates
+from .oracle import DEFAULT_LIMIT as ORACLE_LIMIT, verify_certificates
 
 # short names for --learner; LearnerSpec decides whether any other name is a learner kind
 _LEARNER_ALIASES = {"majority": MAJORITY_LABEL, "centroid": NEAREST_CENTROID}
@@ -372,13 +372,13 @@ def _delta_rows(matrix: VoteMatrix):
     """Each row's ``delta_multisets`` entry, as ``json.dump(indent=2)`` writes it two levels deep.
 
     Elements are losses in descending order, loss e written ``hist[e]`` times;
-    the classes without votes share one histogram's text. Every row lists all
-    classes, so a class count ``margin_table`` could not allocate is refused here,
-    before any row is made.
+    the classes without votes share one histogram's text. Every row has one
+    entry per class, so a class count that a list of that length could not
+    hold is refused here, before any row is made.
     """
     n_classes = matrix.config.n_classes
     try:
-        [None] * n_classes  # the allocation margin_table makes first
+        [None] * n_classes  # one entry per class
     except (MemoryError, OverflowError):
         raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
 
@@ -489,10 +489,10 @@ def cmd_cert_acc(args) -> int:
     matrix = _matrix_from_args(args)
     labels = matrix.labels
     q_size = _shared_set_size(labels, matrix.n_test, matrix.config.kd, args.budget, args.enumeration_cap)
-    tables = margin_tables(matrix)
-    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
-    accuracy, argmin_q = _certified_accuracy(tables, radii, q_size)
-    fraction = Fraction(sum(r >= args.budget for r in radii), len(tables))
+    rows = [_vote_losses(votes, matrix.offsets, matrix.config.n_classes) for votes in matrix.votes]
+    radii = [row.certificate(label).fa_radius for row, label in zip(rows, labels)]
+    accuracy, argmin_q = _certified_accuracy(rows, radii, q_size)
+    fraction = Fraction(sum(r >= args.budget for r in radii), len(rows))
     _write_json(
         args.out,
         {
@@ -602,12 +602,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cert-acc", help="worst-case accuracy under a shared poison set")
     _add_matrix_args(p)
     p.add_argument("--budget", type=int, default=1)
-    p.add_argument("--enumeration-cap", type=int, default=10**6)
+    p.add_argument("--enumeration-cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_cert_acc)
 
     p = sub.add_parser("oracle-check", help="verify certificates against brute force")
     _add_matrix_args(p)
-    p.add_argument("--oracle-limit", type=int, default=16)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("ia", help="exhaustive subsampled-ensemble evaluation")
@@ -616,7 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--learner", default="centroid")
     p.add_argument("--n-classes", type=int, default=None)
-    p.add_argument("--limit", type=int, default=16)
+    p.add_argument("--limit", type=int, default=IA_LIMIT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ia)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .certifier import dpa_baseline_radius, fa_radius, margin_table
+from .certifier import _vote_losses
 from .ensemble import aggregate_prediction
 from .errors import InstanceTooLarge
 from .hashing import SpreadOffsets, spread
@@ -168,16 +168,17 @@ def verify_certificates(
     Soundness requires the certified radius never to exceed the exact one;
     with d=1 the fine-grained certificate must also equal the plain
     disjoint-partition radius on the same votes. The per-row gap records
-    certificate slack (0 means tight). The exact radius comes from
+    certificate slack (0 means tight). Both certificates come from the
+    row's ``_vote_losses`` and the exact radius from
     ``branch_and_bound_radius``.
     """
     verified = []
     for t, row in enumerate(rows):
         label = labels[t] if labels is not None else None
-        table = margin_table(row, offsets, n_classes)
-        fa = fa_radius(table, label)
+        cert = _vote_losses(row, offsets, n_classes).certificate(label)
+        fa = cert.fa_radius
         exact = branch_and_bound_radius(row, offsets, n_classes, label, limit)
-        dpa = dpa_baseline_radius(table, label) if offsets.d == 1 else None
+        dpa = cert.dpa_radius if offsets.d == 1 else None
         verified.append(
             RowVerification(
                 index=t,

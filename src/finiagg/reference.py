@@ -1,28 +1,156 @@
 """Readable references that no command runs; the fast paths are checked against them.
 
-Each one states a decision rule plainly: the two base learners and their
+Each one states a decision rule plainly: the margin table of one vote row
+with its fine radius and 2d-cap baseline, the d=1 disjoint-partition radius,
+the certificate confined to a set of partitions and the certified accuracy
+under one shared poison set (``certifier``), the two base learners and their
 trainer (``arrays`` votes by the same rules), the split hash and the
-ensemble it trains, the d=1 disjoint-partition radius and the certificate
-confined to a set of partitions (``certifier``), the exhaustive adversary
-(``oracle.branch_and_bound_radius``) and the exact d→∞ ensemble on one
-input (``infinite_aggregation``). No module that ``finiagg.cli`` loads
-imports this one; the package exports its public names on first access.
+ensemble it trains, the exhaustive adversary
+(``oracle.branch_and_bound_radius``) and the exact d→∞ ensemble on one input
+(``infinite_aggregation``). No module that ``finiagg.cli`` loads imports this
+one; the package exports its public names on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .certifier import MarginTable, dpa_baseline_radius, margin_table
+from . import certifier
+from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size, _width
 from .datamodel import AggregationConfig, Dataset, LabeledSample
 from .ensemble import VoteMatrix, aggregate_prediction
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
-from .hashing import SpreadOffsets
+from .hashing import SpreadOffsets, spread
 from .infinite_aggregation import IAVoteDistribution, ia_vote_distributions
 from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec, argmax
 from .oracle import DEFAULT_LIMIT, _partition_masks  # 16, as infinite_aggregation's
+
+
+@dataclass(frozen=True)
+class MarginTable:
+    """Vote statistics of one test sample, global and per partition."""
+
+    prediction: int
+    kd: int
+    d: int
+    n_classes: int
+    global_counts: tuple[int, ...]
+    partition_counts: tuple[tuple[int, ...], ...]  # [class][partition]
+
+    def __post_init__(self):
+        if sum(self.global_counts) != self.kd:
+            raise DataError("global vote counts do not sum to kd")
+        for j in range(self.kd):
+            if sum(self.partition_counts[c][j] for c in range(self.n_classes)) != self.d:
+                raise DataError(f"partition {j}: per-class counts do not sum to d")
+        for c in range(self.n_classes):
+            if sum(self.partition_counts[c]) != self.d * self.global_counts[c]:
+                raise DataError(f"class {c}: partition counts do not sum to d * N_c")
+
+    def rhs(self, challenger: int) -> int:
+        """Integer margin against ``challenger``, tie-break included."""
+        c = self.prediction
+        return (
+            self.global_counts[c]
+            - self.global_counts[challenger]
+            - (1 if challenger < c else 0)
+        )
+
+    def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
+        """Worst-case margin losses ``e_j``, sorted descending.
+
+        ``scope`` restricts the partitions an adversary may touch; the
+        default is all of them.
+        """
+        c = self.prediction
+        a_c = self.partition_counts[c]
+        a_q = self.partition_counts[challenger]
+        js = range(self.kd) if scope is None else scope
+        return sorted((self.d + a_c[j] - a_q[j] for j in js), reverse=True)
+
+
+def margin_table(row: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> MarginTable:
+    """Tabulate one vote row into global and per-partition counts.
+
+    The table has a row for every one of the ``n_classes`` classes; when
+    they cannot be allocated, ``LimitError`` says so.
+    """
+    kd = offsets.kd
+    d = offsets.d
+    try:
+        counts = [0] * n_classes
+        per_part = [[0] * kd for _ in range(n_classes)]
+    except (MemoryError, OverflowError):
+        raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
+    for v in row:
+        counts[v] += 1
+    for j in range(kd):
+        for i in spread(j, offsets):
+            per_part[row[i]][j] += 1
+    return MarginTable(
+        argmax(counts),
+        kd,
+        d,
+        n_classes,
+        tuple(counts),
+        tuple(tuple(r) for r in per_part),
+    )
+
+
+def _scan_radius(elements_desc: Sequence[int], rhs: int) -> int:
+    """Largest m whose top-m element sum stays within rhs.
+
+    Elements are non-negative, so prefix sums are nondecreasing and a linear
+    scan suffices.
+    """
+    total = 0
+    m = 0
+    for e in elements_desc:
+        total += e
+        if total > rhs:
+            break
+        m += 1
+    return m
+
+
+def fa_radius(table: MarginTable, label: int | None = None) -> int:
+    """Certified radius from the per-partition margin statistics.
+
+    For each challenger, the radius is the largest budget whose worst-case
+    margin loss (top-m sum of the delta multiset) stays within the integer
+    margin; the sample's radius is the minimum over challengers, capped at
+    ``kd``. Returns -1 when a label is supplied and the prediction misses it.
+    """
+    c = table.prediction
+    if label is not None and c != label:
+        return -1
+    radius = table.kd
+    for cp in range(table.n_classes):
+        if cp == c:
+            continue
+        radius = min(radius, _scan_radius(table.delta_elements(cp), table.rhs(cp)))
+    return radius
+
+
+def dpa_baseline_radius(table: MarginTable, label: int | None = None) -> int:
+    """Baseline radius over the same kd classifiers with every e_j at its cap 2d."""
+    c = table.prediction
+    if label is not None and c != label:
+        return -1
+    radius = table.kd
+    for cp in range(table.n_classes):
+        if cp == c:
+            continue
+        radius = min(radius, max(0, table.rhs(cp) // (2 * table.d)))
+    return radius
+
+
+def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
+    n_classes = matrix.config.n_classes
+    return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
 @dataclass(frozen=True)
@@ -201,6 +329,52 @@ def conditional_certified(
         if sum(elements[:take]) > table.rhs(cp):
             return False
     return True
+
+
+def certified_accuracy(
+    tables: Sequence[MarginTable],
+    labels: Sequence[int],
+    budget: int,
+    enumeration_cap: int = ENUMERATION_CAP,
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Worst-case test accuracy over all attacks sharing one poison set.
+
+    Minimizes the mean conditional certificate over every partition subset Q
+    of size ``min(budget, kd)``; larger scopes only weaken the certificate,
+    so smaller Q never attain the minimum. Returns the minimum and the first
+    Q (in lexicographic order) attaining it.
+
+    ``finiagg.reference.conditional_certified`` is the reference for each
+    row. Since Q holds exactly as many partitions as the adversary may
+    touch, its top-|Q| sum is the sum over Q. A mispredicted row is never
+    certified and a row whose fine radius reaches |Q| is certified under
+    every Q; the others are scored for all rows at once, each Q with one
+    sum of Python ints whose lanes hold every (row, challenger) margin (see
+    ``_certified_accuracy``).
+    """
+    kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
+    q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)
+    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
+    return _certified_accuracy(tables, radii, q_size)
+
+
+
+def _certified_accuracy(tables: Sequence[MarginTable], radii: Sequence[int], q_size: int):
+    """``certifier._certified_accuracy`` over margin tables, each read as a ``RowLosses``."""
+    return certifier._certified_accuracy([_row_losses_of(table) for table in tables], radii, q_size)
+
+
+def _row_losses_of(table: MarginTable) -> RowLosses:
+    """The table's losses packed as ``certifier._vote_losses`` packs them, every other class a challenger."""
+    c, d = table.prediction, table.d
+    lane = _width(2 * d, "margin losses")
+    a_c = table.partition_counts[c]
+    losses = {
+        q: b"".join((d + x - y).to_bytes(lane, "little") for x, y in zip(a_c, a_q))
+        for q, a_q in enumerate(table.partition_counts) if q != c
+    }
+    hists = {q: list(map(table.delta_elements(q).count, range(2 * d + 1))) for q in losses}
+    return RowLosses(c, table.kd, d, table.n_classes, dict(enumerate(table.global_counts)), losses, hists)
 
 
 def _class_masks(row: Sequence[int], n_classes: int) -> list[int]:

@@ -4,13 +4,8 @@ import random
 import pytest
 
 from finiagg import SpreadOffsets
-from finiagg.certifier import (
-    SampleCertificate,
-    build_report,
-    dpa_baseline_radius,
-    fa_radius,
-    margin_tables,
-)
+from finiagg.certifier import SampleCertificate, build_report
+from finiagg.reference import dpa_baseline_radius, fa_radius, margin_tables
 
 
 @pytest.fixture

@@ -352,16 +352,16 @@ def test_compare_rejects_an_empty_test_set(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["cert-acc", "--budget", "1"]])
 def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, monkeypatch):
-    from finiagg import certifier
+    from finiagg import cli
 
     calls = []
-    original = certifier.margin_table
+    original = cli._vote_losses
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(certifier, "margin_table", counting)
+    monkeypatch.setattr(cli, "_vote_losses", counting)
     assert _run(
         *command, "--dataset", train_file, "--test", test_file,
         "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
@@ -378,16 +378,17 @@ def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, mo
 def test_certifying_without_tables_tabulates_nothing(
     tmp_path, train_file, test_file, command, code, monkeypatch
 ):
-    from finiagg import certifier
+    from finiagg import cli, oracle
 
     calls = []
-    original = certifier.margin_table
+    original = cli._vote_losses
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(certifier, "margin_table", counting)
+    monkeypatch.setattr(cli, "_vote_losses", counting)
+    monkeypatch.setattr(oracle, "_vote_losses", counting)
     assert _run(
         *command, "--dataset", train_file, "--test", test_file,
         "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
@@ -401,20 +402,20 @@ def test_certifying_without_tables_tabulates_nothing(
      (["certify", "--verbose", "--d", "2"], 0), (["certify", "--d", "2"], 0), (["curve", "--d", "1"], 0),
      (["compare", "--d", "2"], 0)],
 )
-def test_margin_tables_serve_only_audits(
+def test_loss_rows_serve_only_audits(
     tmp_path, train_file, test_file, command, per_row, monkeypatch
 ):
-    from finiagg import certifier, oracle
+    from finiagg import cli, oracle
 
     calls = []
-    original = certifier.margin_table
+    original = cli._vote_losses
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(certifier, "margin_table", counting)
-    monkeypatch.setattr(oracle, "margin_table", counting)
+    monkeypatch.setattr(cli, "_vote_losses", counting)
+    monkeypatch.setattr(oracle, "_vote_losses", counting)
     assert _run(
         *command, "--dataset", train_file, "--test", test_file, "--k", 3, "--out", tmp_path / "out",
     ) == 0
@@ -447,17 +448,16 @@ def test_cert_acc_budget_past_any_curve_is_certified_for_none(tmp_path, train_fi
 
 
 def test_cert_acc_computes_each_radius_once(tmp_path, train_file, test_file, monkeypatch):
-    from finiagg import certifier, cli
+    from finiagg import certifier
 
     calls = []
-    fa_radius = certifier.fa_radius
+    certificate = certifier._certificate
 
     def counted(*args):
         calls.append(args)
-        return fa_radius(*args)
+        return certificate(*args)
 
-    monkeypatch.setattr(certifier, "fa_radius", counted)
-    monkeypatch.setattr(cli, "fa_radius", counted)
+    monkeypatch.setattr(certifier, "_certificate", counted)
     argv = ["cert-acc", "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2]
     for budget in (0, 2, 10**11):
         calls.clear()
@@ -564,12 +564,18 @@ def test_reference_commands_exit_three_when_classes_cannot_be_tabulated(
     tmp_path, capsys, n_classes
 ):
     votes = _wide_votes(tmp_path / "votes.json", n_classes)
-    for argv in (("certify", "--verbose"), ("cert-acc",), ("oracle-check",)):
-        assert _run(*argv, "--votes", votes) == 3, argv
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "LimitError"
+    assert _run("certify", "--verbose", "--votes", votes) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "LimitError"
+    # the audits count only the classes with votes, as certify does
+    narrow = _wide_votes(tmp_path / "narrow.json", 7)
+    for argv in (("cert-acc",), ("oracle-check",)):
+        assert _run(*argv, "--votes", narrow) == 0, argv
+        expected = capsys.readouterr()
+        assert _run(*argv, "--votes", votes) == 0, argv
+        assert capsys.readouterr() == expected, argv
 
 
 def test_certify_counts_only_classes_with_votes(tmp_path):
@@ -591,13 +597,21 @@ def test_commands_off_the_kernel_path_do_not_import_numpy(tmp_path, train_file, 
 
     votes = tmp_path / "votes.json"
     votes.write_text(json.dumps({**VOTES, "votes": [[1, 0]]}), encoding="utf-8")
+    # losses past one byte (d = 200), and class numbers past one byte (300 classes with votes)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"k": 1, "d": 200, "offsets": list(range(200)), "n_classes": 3,
+                                "labels": [0], "votes": [[0] * 150 + [1] * 30 + [2] * 20]}), encoding="utf-8")
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({"k": 300, "d": 1, "offsets": [7], "n_classes": 400, "labels": [5],
+                                "votes": [[5] * 20 + list(range(20, 300))]}), encoding="utf-8")
+    audits = [[*command, "--votes", str(path)] for path in (votes, wide, many)
+              for command in (["oracle-check", "--oracle-limit", "300"], ["cert-acc", "--budget", "1"])]
     script = f"""
 import sys
 import finiagg.cli
 assert "numpy" not in sys.modules, "import finiagg.cli"
 for argv in (
-    ["oracle-check", "--votes", {str(votes)!r}],
-    ["cert-acc", "--votes", {str(votes)!r}, "--budget", "1"],
+    *{audits!r},
     ["ia", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "2"],
 ):
     assert finiagg.cli.main(argv) == 0, argv
@@ -629,7 +643,9 @@ for argv in (
     ["curve", *{data!r}],
     ["compare", *{data!r}],
     ["cert-acc", *{data!r}],
+    ["cert-acc", "--votes", {str(votes)!r}, "--budget", "1"],
     ["oracle-check", *{data!r}],
+    ["oracle-check", "--votes", {str(votes)!r}],
     ["ia", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "2"],
 ):
     assert finiagg.cli.main(argv) == 0, argv

@@ -11,11 +11,11 @@ from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
 from finiagg.certifier import (
     _histogram_radius,
     _int_dtype,
-    _scan_radius,
     certified_fraction_curve,
     certify_matrix,
 )
 from finiagg.errors import DataError, LimitError
+from finiagg.reference import _scan_radius
 
 from conftest import reference_certificates
 
