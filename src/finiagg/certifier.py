@@ -19,23 +19,23 @@ The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
 
 Every ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
-``2d + 1``-bin histogram of the losses instead of a sort. Two routines give
-those histograms: ``_row_losses`` in NumPy for the reports, and the
-NumPy-free ``_vote_losses`` for ``cert-acc`` and ``oracle-check``. Both feed
-one per-row rule, ``_certificate``. The readable reference they are checked
-against, ``MarginTable`` with ``fa_radius`` and ``dpa_baseline_radius``, is
-in ``finiagg.reference``.
+``2d + 1``-bin histogram of the losses instead of a sort. One routine without
+NumPy, ``_vote_losses``, gives every command those histograms, and one
+per-row rule, ``_certificate``, reads them. Since ``e_j <= 2d``, a
+challenger's fine radius is at least ``min(kd, rhs // 2d)``, its baseline, so
+the rule computes only the challengers whose bound is below the fine radius
+so far. The readable reference they are checked against, ``MarginTable``
+with ``fa_radius`` and ``dpa_baseline_radius``, is in ``finiagg.reference``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ensemble import EnsembleStats, VoteMatrix
 from .errors import (
@@ -74,21 +74,12 @@ class CertificateReport:
     ensemble: EnsembleStats | None  # None without labels
 
 
-def _int_dtype(bound: int, what: str):
-    """Smallest signed NumPy integer type that holds every value in ``[0, bound]``."""
-    import numpy as np
-
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    raise LimitError(f"{what} up to {bound} do not fit in a 64-bit integer")
-
-
 def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
     """Largest m whose m largest losses sum to at most ``rhs``; ``hist[e]`` counts loss e.
 
     Walks the bins from the largest loss down, as ``_scan_radius`` walks the
-    sorted losses; ``rhs >= 0`` because the prediction is the arg-max.
+    sorted losses, and reads no bin below the one where it stops; ``rhs >= 0``
+    because the prediction is the arg-max.
     """
     m = 0
     for loss in range(len(hist) - 1, 0, -1):
@@ -98,43 +89,6 @@ def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
             return m
         rhs -= take * loss
     return m + hist[0]  # zero losses never exhaust the margin
-
-
-def _row_losses(matrix: VoteMatrix):
-    """Per row: the prediction c, ``N_c``, and a lazy iterator of its challengers' ``(q, N_q, hist)``.
-
-    ``hist[e]`` counts the partitions whose loss ``d + a[c] - a[q]`` is e,
-    where ``a`` of a class is a circulant sum of its one-hot over the offsets.
-    c is the first ``argmax`` over the classes with votes. Classes without
-    votes share ``a[q] = 0``; the smallest has the smallest margin and stands
-    for them all. Each dtype holds every value its bound allows.
-    """
-    import numpy as np  # imported here: commands that never certify skip its cost
-
-    from .arrays import circulant_sum
-
-    d, n_classes = matrix.config.d, matrix.config.n_classes
-    vote_dtype = _int_dtype(n_classes - 1, "class indices")
-    count_dtype = _int_dtype(d, "per-partition vote counts")
-    loss_dtype = _int_dtype(2 * d, "margin losses")
-    offsets = matrix.offsets.offsets
-
-    def challengers(row, c: int, counts: dict[int, int]):
-        top = circulant_sum(row == c, offsets, count_dtype).astype(loss_dtype) + d  # d + a[c]
-        for q, n_q in counts.items():
-            if q != c:
-                losses = top - circulant_sum(row == q, offsets, count_dtype) if n_q else top
-                yield q, n_q, np.bincount(losses, minlength=2 * d + 1).tolist()
-
-    for votes in matrix.votes:
-        row = np.array(votes, dtype=vote_dtype)
-        classes, counts = np.unique(row, return_counts=True)
-        c = int(classes[counts.argmax()])
-        counts = dict(zip(classes.tolist(), counts.tolist()))
-        absent = next((i for i, q in enumerate(counts) if q != i), len(counts))
-        if absent < n_classes:
-            counts[absent] = 0
-        yield c, counts[c], challengers(row, c, counts)
 
 
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's unsigned formats, by size in bytes
@@ -154,17 +108,35 @@ def _lanes(losses: bytes, d: int) -> Sequence[int]:
     return losses if width == 1 else struct.unpack(f"<{len(losses) // width}{_FORMATS[width]}", losses)
 
 
-@dataclass(frozen=True)
+class _Histogram:
+    """A challenger's ``2d + 1``-bin histogram of its packed ``losses``; each bin is counted when first read."""
+
+    def __init__(self, losses: bytes, d: int):
+        self.losses = losses
+        self._lanes = _lanes(losses, d)
+        self._bins: list[int | None] = [None] * (2 * d + 1)
+
+    def __len__(self) -> int:
+        return len(self._bins)
+
+    def __getitem__(self, loss: int) -> int:
+        if self._bins[loss] is None:
+            self._bins[loss] = self._lanes.count(loss)
+        return self._bins[loss]
+
+
+@dataclass
 class RowLosses:
-    """One vote row's losses against each challenger, as ``_vote_losses`` gives them.
+    """One vote row's losses against each challenger, each computed when first asked for.
 
     ``counts`` holds ``N_q`` of the prediction and of every challenger: the
     classes with votes and the smallest class without, which stands for the
-    rest. ``losses[q]`` packs partition j's loss ``d + a[c][j] - a[q][j]``
+    rest. ``hist(q).losses`` packs partition j's loss ``d + a[c][j] - a[q][j]``
     into bytes ``[j * w, (j + 1) * w)``, little-endian, where ``w`` is the
-    fewest bytes that hold ``2d``; ``hists[q][e]`` counts the partitions whose
-    loss is e. The fields and ``rhs`` and ``delta_elements`` are named as
-    ``MarginTable``'s, so the reference rules read a row as they read its table.
+    fewest bytes that hold ``2d``; ``pack_losses`` computes them, and
+    ``hist(q)[e]`` counts the partitions whose loss is e. The fields and
+    ``rhs`` and ``delta_elements`` are named as ``MarginTable``'s, so the
+    reference rules read a row as they read its table.
     """
 
     prediction: int
@@ -172,104 +144,126 @@ class RowLosses:
     d: int
     n_classes: int
     counts: dict[int, int]
-    losses: dict[int, bytes]
-    hists: dict[int, list[int]]
+    pack_losses: Callable[[int], bytes]
+    _hists: dict[int, _Histogram] = field(default_factory=dict, repr=False, compare=False)
+
+    def challengers(self) -> list[int]:
+        return [q for q in self.counts if q != self.prediction]
 
     def rhs(self, challenger: int) -> int:
         c = self.prediction
         return self.counts[c] - self.counts.get(challenger, 0) - (challenger < c)
 
+    def hist(self, challenger: int) -> _Histogram:
+        if challenger not in self._hists:
+            self._hists[challenger] = _Histogram(self.pack_losses(challenger), self.d)
+        return self._hists[challenger]
+
     def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
         if challenger not in self.counts:  # no votes: the losses of the class that stands for it
             challenger = min(self.counts, key=self.counts.__getitem__)
-        lanes = _lanes(self.losses[challenger], self.d)
+        lanes = _lanes(self.hist(challenger).losses, self.d)
         return sorted((lanes[j] for j in (range(self.kd) if scope is None else scope)), reverse=True)
 
     def certificate(self, label: int | None) -> SampleCertificate:
-        c, counts = self.prediction, self.counts
-        challengers = ((q, counts[q], hist) for q, hist in self.hists.items())
-        return _certificate(c, counts[c], challengers, label, self.kd, self.d)
+        return _certificate(self, label)
 
 
 def _vote_losses(votes: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> RowLosses:
-    """``_row_losses`` for one row without NumPy: the losses of ``cert-acc`` and ``oracle-check``.
+    """One row's prediction, vote counts and challengers' losses, without NumPy.
 
-    The classes with votes are numbered densely in class order and each vote
-    is packed as its number, in as few bytes as the count needs. A class's
-    one-hot is the AND, over those bytes, of ``bytes.translate`` marking its
-    byte. ``a[q]`` is one Python int with a ``w``-byte lane per partition: the
-    one-hot rotated by each offset and summed. No lane carries or borrows,
-    since a count is at most d and a loss at most 2d.
+    Each vote is packed in as few bytes as the classes need: as itself when
+    every class is below 256, else as the class's number among the classes
+    with votes, in class order. A class's one-hot is the AND, over those
+    bytes, of ``bytes.translate`` marking its byte, and its vote count is
+    the one-hot's ``bit_count``. Challenger q's losses are one Python int
+    with a ``w``-byte lane per partition: ``1 + hot[c] - hot[q]`` is 0, 1
+    or 2 per classifier, and its rotations by each offset sum to
+    ``d + a[c] - a[q]``. No lane carries or borrows, since a loss is at most
+    2d.
     """
     kd, d = offsets.kd, offsets.d
     lane = _width(2 * d, "margin losses")
-    tally = Counter(votes)
-    classes = sorted(tally)
-    c = classes[argmax([tally[q] for q in classes])]
-    number = {q: i for i, q in enumerate(classes)}
-    code = _width(len(classes) - 1, "class numbers")
-    packed = struct.pack(f"<{kd}{_FORMATS[code]}", *map(number.__getitem__, votes))
+    try:
+        packed = bytes(votes)  # every class below 256: each vote is its own byte
+    except ValueError:  # else each vote is its class's number among the classes with votes
+        number = {q: i for i, q in enumerate(sorted(set(votes)))}
+        packed = struct.pack(f"<{kd}{_FORMATS[_width(len(number) - 1, 'class numbers')]}",
+                             *map(number.__getitem__, votes))
+    else:
+        number = {q: q for q in range(min(n_classes, 256)) if q in packed}
+    code = len(packed) // kd  # bytes per vote
     planes = [packed[b::code] for b in range(code)]
 
-    def per_partition(q: int) -> int:  # a[q]
+    def one_hot(q: int) -> int:  # bit 8j set iff classifier j votes q
         hot = -1
         for plane, byte in zip(planes, number[q].to_bytes(code, "little")):
             mark = bytearray(256)
             mark[byte] = 1
             hot &= int.from_bytes(plane.translate(mark), "little")
-        wide = bytearray(kd * lane)
-        wide[::lane] = hot.to_bytes(kd, "little")
-        wide *= 2
-        return sum(int.from_bytes(wide[r * lane:(r + kd) * lane], "little") for r in offsets.offsets)
+        return hot
 
-    top = per_partition(c) + int.from_bytes(d.to_bytes(lane, "little") * kd, "little")  # d + a[c]
-    counts = {q: tally[q] for q in classes}
+    hots = {q: one_hot(q) for q in number}
+    counts = {q: hot.bit_count() for q, hot in hots.items()}
+    classes = list(counts)
+    c = classes[argmax(list(counts.values()))]
     absent = next((i for i, q in enumerate(classes) if q != i), len(classes))
     if absent < n_classes:
         counts[absent] = 0
-    losses = {
-        q: (top - per_partition(q) if n_q else top).to_bytes(kd * lane, "little")
-        for q, n_q in counts.items() if q != c
-    }
-    hists = {q: list(map(_lanes(e, d).count, range(2 * d + 1))) for q, e in losses.items()}
-    return RowLosses(c, kd, d, n_classes, counts, losses, hists)
+    ahead = hots[c] + int.from_bytes(b"\1" * kd, "little")  # 1 + hot[c]
+    bits = 8 * lane * kd
+
+    def pack_losses(q: int) -> bytes:
+        step = ahead - one_hot(q) if counts[q] else ahead  # 0, 1 or 2 per classifier
+        if lane > 1:
+            wide = bytearray(kd * lane)
+            wide[::lane] = step.to_bytes(kd, "little")
+            step = int.from_bytes(wide, "little")
+        step |= step << bits  # twice round, so each offset's rotation is one shift
+        summed = sum(step >> 8 * lane * r for r in offsets.offsets) & (1 << bits) - 1
+        return summed.to_bytes(kd * lane, "little")
+
+    return RowLosses(c, kd, d, n_classes, counts, pack_losses)
 
 
-def _certificate(
-    c: int, n_c: int, challengers: Iterable[tuple[int, int, list[int]]], label: int | None, kd: int, d: int
-) -> SampleCertificate:
-    """One row's certificate from its challengers' ``(q, N_q, hist)``.
+def _certificate(row: RowLosses, label: int | None) -> SampleCertificate:
+    """One row's certificate: the least fine radius and baseline over its challengers.
 
-    The fine radius is ``_histogram_radius`` and the baseline ``rhs // 2d``,
-    each the least over the challengers. A mispredicted row never reads its
-    challengers.
+    Every loss is at most 2d, so ``min(kd, rhs // 2d)`` losses always fit in
+    the margin: it is the challenger's baseline and a lower bound on its fine
+    radius. The challengers are read in ascending ``rhs``, so the first one
+    is the baseline's and the walk stops at the first whose bound reaches the
+    fine radius so far; no later one can lower it. A mispredicted row never
+    reads its challengers.
     """
+    c, kd, d = row.prediction, row.kd, row.d
     if label is not None and c != label:
         return SampleCertificate(predicted=c, correct=False, dpa_radius=-1, fa_radius=-1)
-    fine = base = kd
-    for q, n_q, hist in challengers:
-        rhs = n_c - n_q - (q < c)
-        fine = min(fine, _histogram_radius(hist, rhs))
-        base = min(base, rhs // (2 * d))
-    return SampleCertificate(
-        predicted=c,
-        correct=None if label is None else True,
-        dpa_radius=base,
-        fa_radius=fine,
-    )
+    margins = sorted((row.rhs(q), q) for q in row.challengers())
+    base = min(kd, margins[0][0] // (2 * d)) if margins else kd
+    fine = kd
+    for rhs, q in margins:
+        if min(kd, rhs // (2 * d)) >= fine:
+            break
+        fine = min(fine, _histogram_radius(row.hist(q), rhs))
+    return SampleCertificate(predicted=c, correct=None if label is None else True, dpa_radius=base, fa_radius=fine)
 
 
 def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
-    """Per-sample certificates for every row of a vote matrix, from ``_row_losses``.
+    """Per-sample certificates for every row of a vote matrix, from ``_vote_losses``.
 
-    Every report's certificates come from here; ``fa_radius`` and
+    Every command's certificates come from that one routine and
+    ``_certificate``, which computes only the challengers whose bound
+    ``rhs // 2d`` is below the fine radius so far. ``fa_radius`` and
     ``dpa_baseline_radius`` over ``margin_tables`` in ``finiagg.reference``
     are the rules this is checked against.
     """
-    kd, d, labels = matrix.config.kd, matrix.config.d, matrix.labels
+    n_classes, labels = matrix.config.n_classes, matrix.labels
+    if n_classes > 2**63:  # the certifying commands' limit on class indices: a signed 64-bit integer
+        raise LimitError(f"class indices up to {n_classes - 1} do not fit in a 64-bit integer")
     return [
-        _certificate(c, n_c, challengers, None if labels is None else labels[t], kd, d)
-        for t, (c, n_c, challengers) in enumerate(_row_losses(matrix))
+        _vote_losses(votes, matrix.offsets, n_classes).certificate(None if labels is None else labels[t])
+        for t, votes in enumerate(matrix.votes)
     ]
 
 
@@ -351,7 +345,8 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
 
     Lanes: each challenger of a scored row whose own radius is below
     ``q_size`` (no other can break) gets one lane of ``size`` bytes, and each
-    row one spare lane after its own. ``losses[j]`` holds partition j's loss
+    row one spare lane after its own. A challenger with ``rhs // 2d >= q_size``
+    is skipped before its losses are computed: that bound is at most its radius. ``losses[j]`` holds partition j's loss
     in every lane. It is read off the joined lanes' bytes by transposition,
     every ``kd * size``-th byte, so the fill is linear in the rows.
 
@@ -379,12 +374,12 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
         elif radius >= 0:
             scored += 1
             start = shift
-            for q, hist in row.hists.items():
+            for q in row.challengers():
                 rhs = row.rhs(q)
-                if _histogram_radius(hist, rhs) < q_size:
-                    chunk = bytearray(kd * size)
+                if rhs // (2 * d) < q_size and _histogram_radius(row.hist(q), rhs) < q_size:
+                    chunk, losses = bytearray(kd * size), row.hist(q).losses
                     for b in range(lane):
-                        chunk[b::size] = row.losses[q][b::lane]
+                        chunk[b::size] = losses[b::lane]
                     chunks.append(chunk)
                     bias |= (1 << bits - 1) - 1 - min(rhs, cap) << shift
                     shift += bits

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .certifier import (
-    ENUMERATION_CAP, _certified_accuracy, _row_losses, _shared_set_size, _vote_losses, build_report,
+    ENUMERATION_CAP, RowLosses, _certified_accuracy, _shared_set_size, _vote_losses, build_report,
 )
 from .datamodel import AggregationConfig, Dataset, LabeledSample, check_row, validate_dataset
 from .ensemble import VoteMatrix
@@ -237,17 +237,22 @@ def _json_ints(values, field: str) -> tuple[int, ...]:
 
 
 def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteMatrix:
+    """The vote matrix in ``text``; the text is dropped once parsed, and each row's list as its tuple is made."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
     except ValueError:  # json, like int(), refuses past sys.get_int_max_str_digits()
         raise LimitError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    del text
     try:
         k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
         offsets = SpreadOffsets(_json_ints(obj["offsets"], "offsets"), k * d)
         n_classes = _json_int(obj["n_classes"], "n_classes")
-        votes = tuple(_json_ints(row, "votes") for row in obj["votes"])
+        rows = list(obj.pop("votes"))  # the only reference to each row's list
+        for t, row in enumerate(rows):
+            rows[t] = _json_ints(row, "votes")
+        votes = tuple(rows)
         raw_labels = obj.get("labels")
         labels = _json_ints(raw_labels, "labels") if raw_labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
@@ -382,24 +387,24 @@ def _delta_rows(matrix: VoteMatrix):
     except (MemoryError, OverflowError):
         raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
 
-    def elements(hist: list[int]) -> str:
+    def elements(hist: Sequence[int]) -> str:
         return "".join(f"\n            {e}," * hist[e] for e in range(len(hist) - 1, -1, -1))[:-1]
 
-    def row(c: int, n_c: int, challengers) -> str:
-        listed = {q: (n_q, elements(hist)) for q, n_q, hist in challengers}
-        without_votes = next((entry for entry in listed.values() if entry[0] == 0), None)
+    def entry(row: RowLosses) -> str:
+        c = row.prediction
+        listed = {q: elements(row.hist(q)) for q in row.challengers()}
+        without_votes = next((q for q in listed if row.counts[q] == 0), None)
         delta = []
         for q in range(n_classes):
             if q != c:
-                n_q, text = listed.get(q, without_votes)
                 delta.append(
-                    f'\n        {{\n          "challenger": {q},\n          "rhs": {n_c - n_q - (q < c)},'
-                    f'\n          "elements": [{text}\n          ]\n        }}'
+                    f'\n        {{\n          "challenger": {q},\n          "rhs": {row.rhs(q)},'
+                    f'\n          "elements": [{listed[q if q in listed else without_votes]}\n          ]\n        }}'
                 )
         delta_text = f'[{",".join(delta)}\n      ]' if delta else "[]"
         return f'{{\n      "prediction": {c},\n      "delta": {delta_text}\n    }}'
 
-    return (row(*losses) for losses in _row_losses(matrix))
+    return (entry(_vote_losses(votes, matrix.offsets, n_classes)) for votes in matrix.votes)
 
 
 # ---------------------------------------------------------------------------

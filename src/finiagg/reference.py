@@ -373,8 +373,7 @@ def _row_losses_of(table: MarginTable) -> RowLosses:
         q: b"".join((d + x - y).to_bytes(lane, "little") for x, y in zip(a_c, a_q))
         for q, a_q in enumerate(table.partition_counts) if q != c
     }
-    hists = {q: list(map(table.delta_elements(q).count, range(2 * d + 1))) for q in losses}
-    return RowLosses(c, table.kd, d, table.n_classes, dict(enumerate(table.global_counts)), losses, hists)
+    return RowLosses(c, table.kd, d, table.n_classes, dict(enumerate(table.global_counts)), losses.__getitem__)
 
 
 def _class_masks(row: Sequence[int], n_classes: int) -> list[int]:

@@ -370,15 +370,16 @@ def test_each_row_is_tabulated_once(tmp_path, train_file, test_file, command, mo
 
 
 @pytest.mark.parametrize(
-    "command, code",
-    [(["certify"], 0), (["certify", "--verbose"], 0), (["curve"], 0), (["compare"], 0),
+    "command, code, per_row",
+    # certify --verbose computes each row's losses once for the report and once for its deltas
+    [(["certify"], 0, 1), (["certify", "--verbose"], 0, 2), (["curve"], 0, 1), (["compare"], 0, 1),
      # cert-acc refuses its arguments before it tabulates
-     (["cert-acc", "--budget", "-1"], 2), (["cert-acc", "--budget", "2", "--enumeration-cap", "5"], 3)],
+     (["cert-acc", "--budget", "-1"], 2, 0), (["cert-acc", "--budget", "2", "--enumeration-cap", "5"], 3, 0)],
 )
 def test_certifying_without_tables_tabulates_nothing(
-    tmp_path, train_file, test_file, command, code, monkeypatch
+    tmp_path, train_file, test_file, command, code, per_row, monkeypatch
 ):
-    from finiagg import cli, oracle
+    from finiagg import certifier, cli, oracle
 
     calls = []
     original = cli._vote_losses
@@ -387,25 +388,26 @@ def test_certifying_without_tables_tabulates_nothing(
         calls.append(args)
         return original(*args)
 
+    monkeypatch.setattr(certifier, "_vote_losses", counting)
     monkeypatch.setattr(cli, "_vote_losses", counting)
     monkeypatch.setattr(oracle, "_vote_losses", counting)
     assert _run(
         *command, "--dataset", train_file, "--test", test_file,
         "--k", 3, "--d", 2, "--out", tmp_path / "out.json",
     ) == code
-    assert calls == []
+    assert len(calls) == per_row * (len(TEST_CSV.splitlines()) - 1)
 
 
 @pytest.mark.parametrize(
     "command, per_row",
     [(["oracle-check", "--d", "1"], 1), (["oracle-check", "--d", "2"], 1), (["cert-acc", "--d", "2"], 1),
-     (["certify", "--verbose", "--d", "2"], 0), (["certify", "--d", "2"], 0), (["curve", "--d", "1"], 0),
-     (["compare", "--d", "2"], 0)],
+     (["certify", "--verbose", "--d", "2"], 2), (["certify", "--d", "2"], 1), (["curve", "--d", "1"], 1),
+     (["compare", "--d", "2"], 1)],
 )
 def test_loss_rows_serve_only_audits(
     tmp_path, train_file, test_file, command, per_row, monkeypatch
 ):
-    from finiagg import cli, oracle
+    from finiagg import certifier, cli, oracle
 
     calls = []
     original = cli._vote_losses
@@ -414,6 +416,7 @@ def test_loss_rows_serve_only_audits(
         calls.append(args)
         return original(*args)
 
+    monkeypatch.setattr(certifier, "_vote_losses", counting)
     monkeypatch.setattr(cli, "_vote_losses", counting)
     monkeypatch.setattr(oracle, "_vote_losses", counting)
     assert _run(
@@ -605,7 +608,8 @@ def test_commands_off_the_kernel_path_do_not_import_numpy(tmp_path, train_file, 
     many.write_text(json.dumps({"k": 300, "d": 1, "offsets": [7], "n_classes": 400, "labels": [5],
                                 "votes": [[5] * 20 + list(range(20, 300))]}), encoding="utf-8")
     audits = [[*command, "--votes", str(path)] for path in (votes, wide, many)
-              for command in (["oracle-check", "--oracle-limit", "300"], ["cert-acc", "--budget", "1"])]
+              for command in (["oracle-check", "--oracle-limit", "300"], ["cert-acc", "--budget", "1"],
+                              ["certify"], ["certify", "--verbose"], ["curve"], ["compare"])]
     script = f"""
 import sys
 import finiagg.cli

@@ -1,4 +1,4 @@
-"""The array kernel behind ``certify_matrix`` against the margin-table reference."""
+"""The kernel behind ``certify_matrix`` against the margin-table reference."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
 from finiagg.certifier import (
     _histogram_radius,
-    _int_dtype,
+    _vote_losses,
     certified_fraction_curve,
     certify_matrix,
 )
@@ -76,16 +76,36 @@ def test_histogram_walk_matches_the_sorted_scan():
         assert _histogram_radius(hist, rhs) == _scan_radius(sorted(losses, reverse=True), rhs)
 
 
-def test_dtypes_follow_their_bounds():
-    import numpy as np
+def test_histogram_radius_is_at_least_the_baseline():
+    """Every loss is at most 2d, so ``rhs // 2d`` of them always fit: the bound that prunes challengers."""
+    for d in range(1, 4):
+        for kd in range(0, 5):
+            for hist in itertools.product(range(kd + 1), repeat=2 * d + 1):
+                if sum(hist) == kd:
+                    for rhs in range(0, 2 * d * kd + 2 * d + 2):
+                        assert _histogram_radius(hist, rhs) >= min(kd, rhs // (2 * d))
 
-    assert _int_dtype(0, "x") is np.int8
-    assert _int_dtype(127, "x") is np.int8
-    assert _int_dtype(128, "x") is np.int16
-    assert _int_dtype(2**15, "x") is np.int32
-    assert _int_dtype(2**63 - 1, "x") is np.int64
-    with pytest.raises(LimitError):
-        _int_dtype(2**63, "class indices")
+
+def test_pruned_certificates_match_reference_with_evenly_matched_challengers():
+    """A clear winner over challengers of nearly equal counts: no challenger's bound stops the walk."""
+    rng = random.Random(9)
+    for k, d, n_classes in ((400, 8, 8), (100, 16, 10), (1200, 16, 10)):
+        kd = k * d
+        offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
+        rows = []
+        for _ in range(2):
+            winner = rng.randrange(n_classes)
+            others = [q for q in range(n_classes) if q != winner]
+            row = [winner] * (kd // 3) + [rng.choice(others) for _ in range(kd - kd // 3)]
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        labels = tuple(max(range(n_classes), key=row.count) for row in rows)
+        matrix = VoteMatrix(tuple(rows), AggregationConfig(k=k, d=d, n_classes=n_classes), offsets, labels)
+        _assert_matches_reference(matrix)
+        for votes, label in zip(rows, labels):
+            row = _vote_losses(votes, offsets, n_classes)
+            row.certificate(label)
+            assert sorted(row._hists) == sorted(row.challengers())  # every challenger was read
 
 
 def test_class_indices_beyond_64_bits_are_a_limit_error():

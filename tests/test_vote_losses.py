@@ -1,29 +1,42 @@
-"""``_vote_losses``, the NumPy-free losses of ``cert-acc`` and ``oracle-check``, against
-``_row_losses`` and the margin-table reference, and the shared-set search over its rows."""
+"""``_vote_losses``, the NumPy-free losses of every command, against the margin-table reference,
+and the shared-set search over its rows."""
 
 import itertools
 import random
 from fractions import Fraction
 
 from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
-from finiagg.certifier import _certified_accuracy, _row_losses, _vote_losses
+from finiagg.certifier import _certified_accuracy, _vote_losses
+from finiagg.hashing import spread
 from finiagg.reference import conditional_certified, dpa_baseline_radius, fa_radius, margin_table
 
 
 def _assert_matches(matrix: VoteMatrix, tables: bool = True) -> None:
-    """Each row's challengers, vote counts and histograms equal ``_row_losses``'; with ``tables``,
-    every class's losses, over every partition and over one random scope, equal ``delta_elements``."""
-    offsets, n_classes = matrix.offsets, matrix.config.n_classes
+    """Each row's prediction, challengers, vote counts and histograms equal its margin table's; with
+    ``tables``, every class's losses, over every partition and over one random scope, and the
+    certificate do too. Without, the table's counts are taken over the classes with votes only."""
+    offsets, n_classes, kd, d = matrix.offsets, matrix.config.n_classes, matrix.config.kd, matrix.config.d
     labels = matrix.labels or (None,) * matrix.n_test
     rng = random.Random(len(matrix.votes))
-    for votes, label, (c, n_c, challengers) in zip(matrix.votes, labels, _row_losses(matrix)):
+    for votes, label in zip(matrix.votes, labels):
         row = _vote_losses(votes, offsets, n_classes)
-        assert (row.prediction, row.counts[c]) == (c, n_c)
-        assert {q: (row.counts[q], row.hists[q]) for q in row.hists} == {
-            q: (n_q, hist) for q, n_q, hist in challengers
-        }
         if tables:
             table = margin_table(votes, offsets, n_classes)
+            counts, per_part = dict(enumerate(table.global_counts)), dict(enumerate(table.partition_counts))
+        else:  # a table of every class would not fit: the rows of the classes with votes, as it tabulates them
+            counts = {q: votes.count(q) for q in sorted(set(votes))}
+            per_part = {q: [sum(votes[i] == q for i in spread(j, offsets)) for j in range(kd)] for q in counts}
+        voted = [q for q in counts if counts[q]]
+        c = max(voted, key=counts.__getitem__)  # the first maximum, in class order
+        absent = next(q for q in itertools.count() if counts.get(q, 0) == 0)
+        challengers = [q for q in voted if q != c] + [absent] * (absent < n_classes)
+        assert row.prediction == c
+        assert sorted(row.challengers()) == sorted(challengers)
+        for q in challengers:
+            losses = [d + x - y for x, y in zip(per_part[c], per_part.get(q, [0] * kd))]
+            assert row.counts[q] == counts.get(q, 0)
+            assert [row.hist(q)[e] for e in range(2 * d + 1)] == [losses.count(e) for e in range(2 * d + 1)]
+        if tables:
             scope = rng.sample(range(offsets.kd), rng.randint(0, offsets.kd))
             for q in range(n_classes):
                 if q != c:
@@ -84,6 +97,13 @@ def test_vote_losses_match_with_more_than_256_voted_classes():
     _assert_matches(_many_classes(rng, 150, 2, 300, range(260)))
     sparse = sorted(rng.sample(range(70_000), 280))  # 280 classes with votes among 70,000
     _assert_matches(_many_classes(rng, 400, 1, 70_000, sparse), tables=False)
+
+
+def test_vote_losses_match_on_both_sides_of_one_byte_classes():
+    """Votes of class 255 pack as themselves; one vote of class 256 sends the row to class numbers."""
+    rng = random.Random(255)
+    for voted in ((0, 255), (1, 254, 255), (3, 256), (255, 256, 257)):
+        _assert_matches(_many_classes(rng, 20, 2, 300, voted))
 
 
 def test_vote_losses_match_at_paper_scale():
