@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +54,7 @@ def circulant_sum(values, shifts: Iterable[int], dtype):
     return out
 
 
-@dataclass(frozen=True)
-class Statistics:
+class Statistics(NamedTuple):
     """Label counts ``[i][c]`` and, for the centroid learner, feature sums ``[i][c][f]``.
 
     ``i`` indexes partitions or classifiers, ``c`` classes up to the largest

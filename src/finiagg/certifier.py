@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ensemble import EnsembleStats, VoteMatrix
 from .errors import (
@@ -52,22 +51,19 @@ from .learners import argmax
 ENUMERATION_CAP = 10**6  # the most shared poison sets Q that cert-acc scores by default
 
 
-@dataclass(frozen=True)
-class SampleCertificate:
+class SampleCertificate(NamedTuple):
     predicted: int
     correct: bool | None
     dpa_radius: int
     fa_radius: int
 
 
-@dataclass(frozen=True)
-class RadiusStats:
+class RadiusStats(NamedTuple):
     pr_radius_up: Fraction
     mean_delta_r: Fraction
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     certificates: tuple[SampleCertificate, ...]
     curve: tuple[Fraction, ...]
     stats: RadiusStats
@@ -125,7 +121,6 @@ class _Histogram:
         return self._bins[loss]
 
 
-@dataclass
 class RowLosses:
     """One vote row's losses against each challenger, each computed when first asked for.
 
@@ -139,13 +134,13 @@ class RowLosses:
     reference rules read a row as they read its table.
     """
 
-    prediction: int
-    kd: int
-    d: int
-    n_classes: int
-    counts: dict[int, int]
-    pack_losses: Callable[[int], bytes]
-    _hists: dict[int, _Histogram] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("prediction", "kd", "d", "n_classes", "counts", "pack_losses", "_hists")
+
+    def __init__(self, prediction: int, kd: int, d: int, n_classes: int, counts: dict[int, int],
+                 pack_losses: Callable[[int], bytes]):
+        self.prediction, self.kd, self.d, self.n_classes = prediction, kd, d, n_classes
+        self.counts, self.pack_losses = counts, pack_losses
+        self._hists: dict[int, _Histogram] = {}
 
     def challengers(self) -> list[int]:
         return [q for q in self.counts if q != self.prediction]
@@ -249,22 +244,26 @@ def _certificate(row: RowLosses, label: int | None) -> SampleCertificate:
     return SampleCertificate(predicted=c, correct=None if label is None else True, dpa_radius=base, fa_radius=fine)
 
 
-def certify_matrix(matrix: VoteMatrix) -> list[SampleCertificate]:
+def certify_matrix(matrix: VoteMatrix, label_votes: list[int] | None = None) -> list[SampleCertificate]:
     """Per-sample certificates for every row of a vote matrix, from ``_vote_losses``.
 
     Every command's certificates come from that one routine and
     ``_certificate``, which computes only the challengers whose bound
     ``rhs // 2d`` is below the fine radius so far. ``fa_radius`` and
     ``dpa_baseline_radius`` over ``margin_tables`` in ``finiagg.reference``
-    are the rules this is checked against.
+    are the rules this is checked against. A labelled matrix appends each
+    row's votes for its label, from its vote counts, to ``label_votes``.
     """
     n_classes, labels = matrix.config.n_classes, matrix.labels
     if n_classes > 2**63:  # the certifying commands' limit on class indices: a signed 64-bit integer
         raise LimitError(f"class indices up to {n_classes - 1} do not fit in a 64-bit integer")
-    return [
-        _vote_losses(votes, matrix.offsets, n_classes).certificate(None if labels is None else labels[t])
-        for t, votes in enumerate(matrix.votes)
-    ]
+    certs = []
+    for t, votes in enumerate(matrix.votes):
+        row, label = _vote_losses(votes, matrix.offsets, n_classes), None if labels is None else labels[t]
+        certs.append(row.certificate(label))
+        if label_votes is not None and label is not None:
+            label_votes.append(row.counts.get(label, 0))  # a class without votes may have no entry
+    return certs
 
 
 def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tuple[Fraction, ...]:
@@ -305,16 +304,16 @@ def radius_stats(fa_radii: Sequence[int], dpa_radii: Sequence[int]) -> RadiusSta
 
 def build_report(matrix: VoteMatrix, max_attack_size: int) -> CertificateReport:
     """Certificates, curve up to ``max_attack_size``, and radius and accuracy statistics."""
-    certs = certify_matrix(matrix)
+    label_votes: list[int] = []
+    certs = certify_matrix(matrix, label_votes)
     curve = certified_fraction_curve([c.fa_radius for c in certs], max_attack_size)
     stats = radius_stats([c.fa_radius for c in certs], [c.dpa_radius for c in certs])
     ensemble = None
     if matrix.labels is not None:  # the curve has raised EmptyTestSet for n = 0
         n, kd = len(certs), matrix.config.kd
-        # clean hits from the kernel's predictions: no second majority vote over any row
+        # clean hits from the kernel's predictions and base hits from its vote counts: no second pass
         clean_hits = sum(c.correct for c in certs)
-        base_hits = sum(row.count(label) for row, label in zip(matrix.votes, matrix.labels))
-        ensemble = EnsembleStats(Fraction(clean_hits, n), Fraction(base_hits, n * kd))
+        ensemble = EnsembleStats(Fraction(clean_hits, n), Fraction(sum(label_votes), n * kd))
     return CertificateReport(tuple(certs), curve, stats, ensemble)
 
 

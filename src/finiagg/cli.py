@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -42,6 +41,7 @@ from .datamodel import AggregationConfig, Dataset, LabeledSample, check_row, val
 from .ensemble import VoteMatrix
 from .errors import (
     DataError,
+    EmptyTestSet,
     FiniteAggError,
     LimitError,
     MissingLabels,
@@ -513,19 +513,16 @@ def cmd_cert_acc(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     matrix = _matrix_from_args(args)
-    report = verify_certificates(
-        matrix.votes,
-        matrix.offsets,
-        matrix.config.n_classes,
-        matrix.labels,
-        args.oracle_limit,
-    )
+    if matrix.n_test == 0:
+        raise EmptyTestSet()
+    report = verify_certificates(matrix.votes, matrix.offsets, matrix.config.n_classes, matrix.labels,
+                                 args.oracle_limit)
     obj = {
         "command": "oracle-check",
         "n_test": matrix.n_test,
         "ok": report.ok,
         "gap_histogram": {str(g): c for g, c in report.gap_histogram().items()},
-        "rows": [dataclasses.asdict(r) for r in report.rows],  # the fields, in declaration order
+        "rows": [r._asdict() for r in report.rows],  # the fields, in declaration order
     }
     _write_json(args.out, obj)
     if not report.ok:
@@ -539,6 +536,8 @@ def cmd_ia(args) -> int:
     spec = LearnerSpec(_LEARNER_ALIASES.get(args.learner, args.learner))
     dataset = read_dataset_csv(args.dataset, args.n_classes)
     features, labels = read_test_csv(args.test, dataset.n_classes)
+    if not features:
+        raise EmptyTestSet()
     dists = ia_vote_distributions(dataset, features, args.k, spec, args.limit)
     results = []
     for idx, dist in enumerate(dists):

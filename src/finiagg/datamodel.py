@@ -6,46 +6,67 @@ All types are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow, RowError
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(namedtuple("LabeledSample", "features label")):
     """One training sample: non-negative features plus a class label, every cell an ``int``."""
 
-    features: tuple[int, ...]
-    label: int
+    __slots__ = ()
 
-    def __post_init__(self):  # a bool or a float is refused, never coerced
-        if not all(type(v) is int for v in (*self.features, self.label)):
+    def __new__(cls, features: tuple[int, ...], label: int):  # a bool or a float is refused, never coerced
+        self = super().__new__(cls, features, label)
+        if not all(type(v) is int for v in (*features, label)):
             raise DataError(f"sample cells must be ints, got {self}")
+        return self
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A multiset of samples with fixed feature width and class count."""
+    """A multiset of samples with fixed feature width and class count; ``len`` counts the samples.
 
-    samples: tuple[LabeledSample, ...]
-    n_classes: int
-    feature_dim: int
+    Printed, compared and hashed by its fields, which cannot be set, as the records are.
+    """
 
-    def __post_init__(self):
-        if self.n_classes < 1:
-            raise DataError(f"n_classes must be positive, got {self.n_classes}")
-        if self.feature_dim < 1:
-            raise DataError(f"feature_dim must be positive, got {self.feature_dim}")
-        for idx, s in enumerate(self.samples):
-            check_row(idx, s.label, s.features, self.n_classes, self.feature_dim)
+    __slots__ = ("samples", "n_classes", "feature_dim")
+
+    def __init__(self, samples: tuple[LabeledSample, ...], n_classes: int, feature_dim: int):
+        if n_classes < 1:
+            raise DataError(f"n_classes must be positive, got {n_classes}")
+        if feature_dim < 1:
+            raise DataError(f"feature_dim must be positive, got {feature_dim}")
+        for idx, s in enumerate(samples):
+            check_row(idx, s.label, s.features, n_classes, feature_dim)
+        for name, value in zip(Dataset.__slots__, (samples, n_classes, feature_dim)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return self.samples, self.n_classes, self.feature_dim
+
+    def __setattr__(self, name, *value):  # the fields are set once, in __init__
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is Dataset else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # pickled and copied through __init__, not by setting fields
+        return Dataset, self._values()
+
+    def __repr__(self) -> str:
+        return "Dataset(samples={!r}, n_classes={!r}, feature_dim={!r})".format(*self._values())
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
+class AggregationConfig(namedtuple("AggregationConfig", "k d n_classes")):
     """Hyperparameters of the split/spread ensemble.
 
     ``k`` is the inverse sensitivity (each sample reaches a 1/k fraction of
@@ -54,17 +75,16 @@ class AggregationConfig:
     many base classifiers.
     """
 
-    k: int
-    d: int
-    n_classes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise DataError(f"k must be positive, got {self.k}")
-        if self.d < 1:
-            raise DataError(f"d must be positive, got {self.d}")
-        if self.n_classes < 1:
-            raise DataError(f"n_classes must be positive, got {self.n_classes}")
+    def __new__(cls, k: int, d: int, n_classes: int):
+        if k < 1:
+            raise DataError(f"k must be positive, got {k}")
+        if d < 1:
+            raise DataError(f"d must be positive, got {d}")
+        if n_classes < 1:
+            raise DataError(f"n_classes must be positive, got {n_classes}")
+        return super().__new__(cls, k, d, n_classes)
 
     @property
     def kd(self) -> int:

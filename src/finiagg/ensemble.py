@@ -11,10 +11,9 @@ votes; the readable reference it is checked against is
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .datamodel import AggregationConfig
 from .errors import DataError, DimensionMismatch
@@ -22,44 +21,39 @@ from .hashing import SpreadOffsets
 from .learners import argmax
 
 
-@dataclass(frozen=True)
-class VoteMatrix:
+class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
     """n_test x kd class votes plus the metadata needed to certify them."""
 
-    votes: tuple[tuple[int, ...], ...]
-    config: AggregationConfig
-    offsets: SpreadOffsets
-    labels: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        kd = self.config.kd
-        if self.offsets.kd != kd:
-            raise DataError(f"offsets kd={self.offsets.kd} does not match config kd={kd}")
-        if self.offsets.d != self.config.d:
-            raise DataError(f"{self.offsets.d} offsets for spread degree d={self.config.d}")
-        n_classes = self.config.n_classes
-        for t, row in enumerate(self.votes):
+    def __new__(cls, votes: tuple[tuple[int, ...], ...], config: AggregationConfig,
+                offsets: SpreadOffsets, labels: tuple[int, ...] | None = None):
+        kd = config.kd
+        if offsets.kd != kd:
+            raise DataError(f"offsets kd={offsets.kd} does not match config kd={kd}")
+        if offsets.d != config.d:
+            raise DataError(f"{offsets.d} offsets for spread degree d={config.d}")
+        n_classes = config.n_classes
+        for t, row in enumerate(votes):
             if len(row) != kd:
                 raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
             if min(row) < 0 or max(row) >= n_classes:
                 v = next(v for v in row if v < 0 or v >= n_classes)
                 raise DataError(f"vote row {t}: class {v} outside [0, {n_classes})")
-        if self.labels is not None:
-            if len(self.labels) != len(self.votes):
-                raise DimensionMismatch(
-                    f"{len(self.labels)} labels for {len(self.votes)} vote rows"
-                )
-            for t, lab in enumerate(self.labels):
-                if lab < 0 or lab >= self.config.n_classes:
-                    raise DataError(f"label {t}: class {lab} outside [0, {self.config.n_classes})")
+        if labels is not None:
+            if len(labels) != len(votes):
+                raise DimensionMismatch(f"{len(labels)} labels for {len(votes)} vote rows")
+            for t, lab in enumerate(labels):
+                if lab < 0 or lab >= n_classes:
+                    raise DataError(f"label {t}: class {lab} outside [0, {n_classes})")
+        return super().__new__(cls, votes, config, offsets, labels)
 
     @property
     def n_test(self) -> int:
         return len(self.votes)
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     clean_accuracy: Fraction
     base_accuracy: Fraction
 

@@ -24,7 +24,7 @@ that identical ``(k, d, seed)`` inputs yield bit-identical layouts anywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DataError, DTooLarge, LimitError, UsageError
 
@@ -55,19 +55,17 @@ class _XorShift64Star:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class SpreadOffsets:
+class SpreadOffsets(namedtuple("SpreadOffsets", "offsets kd")):
     """The offset set R: ``d`` distinct integers in ``[0, kd)``, sorted."""
 
-    offsets: tuple[int, ...]
-    kd: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.offsets)) != len(self.offsets):
-            raise DataError(f"offsets must be distinct, got {self.offsets}")
-        if any(r < 0 or r >= self.kd for r in self.offsets):
-            raise DataError(f"offsets must lie in [0, {self.kd}), got {self.offsets}")
-        object.__setattr__(self, "offsets", tuple(sorted(self.offsets)))
+    def __new__(cls, offsets: tuple[int, ...], kd: int):
+        if len(set(offsets)) != len(offsets):
+            raise DataError(f"offsets must be distinct, got {offsets}")
+        if any(r < 0 or r >= kd for r in offsets):
+            raise DataError(f"offsets must lie in [0, {kd}), got {offsets}")
+        return super().__new__(cls, tuple(sorted(offsets)), kd)
 
     @property
     def d(self) -> int:

@@ -19,12 +19,11 @@ reference, one probe at a time and its exhaustive attack check, is in
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .datamodel import Dataset
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
@@ -33,8 +32,7 @@ from .learners import NEAREST_CENTROID, LearnerSpec, argmax
 DEFAULT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class IAVoteDistribution:
+class IAVoteDistribution(NamedTuple):
     """Exact class scores, overall and conditioned on each sample's inclusion."""
 
     per_class: tuple[Fraction, ...]

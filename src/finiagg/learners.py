@@ -18,7 +18,7 @@ in ``finiagg.reference``; ``arrays`` votes by the same rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import UnknownLearnerKind
@@ -28,13 +28,13 @@ NEAREST_CENTROID = "nearest-centroid"
 KNOWN_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID)
 
 
-@dataclass(frozen=True)
-class LearnerSpec:
-    kind: str
+class LearnerSpec(namedtuple("LearnerSpec", "kind")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KNOWN_KINDS:
-            raise UnknownLearnerKind(self.kind)
+    def __new__(cls, kind: str):
+        if kind not in KNOWN_KINDS:
+            raise UnknownLearnerKind(kind)
+        return super().__new__(cls, kind)
 
 
 def argmax(scores: Sequence) -> int:

@@ -23,8 +23,7 @@ partitions still to pick can add, which gives the same radius on every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .certifier import _vote_losses
 from .ensemble import aggregate_prediction
@@ -126,8 +125,7 @@ def _gains_past(m: int, threshold: int, gain, masks: Sequence[int], prefix: Sequ
     return search(0, 0, m)
 
 
-@dataclass(frozen=True)
-class RowVerification:
+class RowVerification(NamedTuple):
     index: int
     fa_radius: int
     dpa_radius: int | None
@@ -137,8 +135,7 @@ class RowVerification:
     dpa_equivalent: bool | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     rows: tuple[RowVerification, ...]
 
     @property

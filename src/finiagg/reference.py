@@ -13,10 +13,10 @@ one; the package exports its public names on first access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import certifier
 from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size, _width
@@ -29,26 +29,22 @@ from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec, argmax
 from .oracle import DEFAULT_LIMIT, _partition_masks  # 16, as infinite_aggregation's
 
 
-@dataclass(frozen=True)
-class MarginTable:
-    """Vote statistics of one test sample, global and per partition."""
+class MarginTable(namedtuple("MarginTable", "prediction kd d n_classes global_counts partition_counts")):
+    """Vote statistics of one test sample, global and per partition; ``partition_counts[class][partition]``."""
 
-    prediction: int
-    kd: int
-    d: int
-    n_classes: int
-    global_counts: tuple[int, ...]
-    partition_counts: tuple[tuple[int, ...], ...]  # [class][partition]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.global_counts) != self.kd:
+    def __new__(cls, prediction: int, kd: int, d: int, n_classes: int, global_counts: tuple[int, ...],
+                partition_counts: tuple[tuple[int, ...], ...]):
+        if sum(global_counts) != kd:
             raise DataError("global vote counts do not sum to kd")
-        for j in range(self.kd):
-            if sum(self.partition_counts[c][j] for c in range(self.n_classes)) != self.d:
+        for j in range(kd):
+            if sum(partition_counts[c][j] for c in range(n_classes)) != d:
                 raise DataError(f"partition {j}: per-class counts do not sum to d")
-        for c in range(self.n_classes):
-            if sum(self.partition_counts[c]) != self.d * self.global_counts[c]:
+        for c in range(n_classes):
+            if sum(partition_counts[c]) != d * global_counts[c]:
                 raise DataError(f"class {c}: partition counts do not sum to d * N_c")
+        return super().__new__(cls, prediction, kd, d, n_classes, global_counts, partition_counts)
 
     def rhs(self, challenger: int) -> int:
         """Integer margin against ``challenger``, tie-break included."""
@@ -153,8 +149,7 @@ def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
     return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
-@dataclass(frozen=True)
-class MajorityLabelModel:
+class MajorityLabelModel(NamedTuple):
     n_classes: int
     label_counts: tuple[int, ...]
 
@@ -162,8 +157,7 @@ class MajorityLabelModel:
         return argmax(self.label_counts)
 
 
-@dataclass(frozen=True)
-class NearestCentroidModel:
+class NearestCentroidModel(NamedTuple):
     """Per-class feature sums and counts; the centroid of class c is sum_c / n_c.
 
     Only classes present in the training subset have centroids and enter the

@@ -4,8 +4,12 @@ from itertools import combinations
 import pytest
 
 from finiagg import (
+    AggregationConfig,
+    VoteMatrix,
+    build_report,
     certified_accuracy,
     certified_fraction_curve,
+    certify_matrix,
     conditional_certified,
     dpa_baseline_radius,
     dpa_radius,
@@ -267,6 +271,21 @@ def test_curve_counts_thresholds():
     assert curve[0] == Fraction(3, 4)
     assert curve[1] == Fraction(1, 2)
     assert curve == tuple(sorted(curve, reverse=True))
+
+
+def test_base_accuracy_counts_labels_without_votes():
+    # classes 1 and 3 have votes; 0 stands for the classes without votes, and 2 and 4 have none either
+    row = (1, 1, 3, 1)
+    labels = (0, 2, 1, 3, 4)
+    matrix = VoteMatrix((row,) * len(labels), AggregationConfig(2, 2, 5), SpreadOffsets((0, 1), 4), labels)
+    label_votes = []
+    certify_matrix(matrix, label_votes)
+    assert label_votes == [row.count(label) for label in labels] == [0, 0, 3, 1, 0]
+    stats = build_report(matrix, 0).ensemble
+    assert (stats.clean_accuracy, stats.base_accuracy) == (Fraction(1, 5), Fraction(4, 20))
+    unlabelled = []
+    certify_matrix(VoteMatrix(matrix.votes, matrix.config, matrix.offsets), unlabelled)
+    assert unlabelled == []
 
 
 def test_curve_rejects_empty():

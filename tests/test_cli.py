@@ -343,11 +343,25 @@ def test_unwritable_output_is_a_data_error(tmp_path, train_file, test_file, caps
         assert json.loads(err)["error"] == "DataError"
 
 
-def test_compare_rejects_an_empty_test_set(tmp_path, capsys):
+EMPTY_TEST_SET = json.dumps({"error": "EmptyTestSet", "message": "test set is empty", "exit_code": 2}) + "\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "curve", "compare", "cert-acc", "oracle-check"])
+def test_vote_commands_reject_an_empty_test_set(tmp_path, capsys, command):
     votes = tmp_path / "votes.json"
     votes.write_text(json.dumps({**VOTES, "labels": [], "votes": []}), encoding="utf-8")
-    assert _run("compare", "--votes", votes) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "EmptyTestSet"
+    out = tmp_path / "out.json"
+    assert _run(command, "--votes", votes, "--out", out) == 2
+    assert capsys.readouterr() == ("", EMPTY_TEST_SET) and not out.exists()
+
+
+@pytest.mark.parametrize("header", ["label,f0,f1\n", "f0,f1\n"])
+def test_ia_rejects_an_empty_test_set(tmp_path, train_file, capsys, header):
+    test = tmp_path / "empty.csv"
+    test.write_text(header, encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert _run("ia", "--dataset", train_file, "--test", test, "--k", 2, "--out", out) == 2
+    assert capsys.readouterr() == ("", EMPTY_TEST_SET) and not out.exists()
 
 
 @pytest.mark.parametrize("command", [["cert-acc", "--budget", "1"]])
@@ -620,6 +634,37 @@ for argv in (
 ):
     assert finiagg.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv[0]
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_loads_dataclasses(tmp_path, train_file, test_file):
+    import subprocess
+    import sys
+
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({**VOTES, "votes": [[1, 0]]}), encoding="utf-8")
+    by_votes = [[*command, "--votes", str(votes)] for command in (
+        ["certify"], ["certify", "--verbose"], ["curve"], ["compare"], ["cert-acc", "--budget", "1"],
+        ["oracle-check"])]
+    script = f"""
+import sys
+import finiagg.cli
+import finiagg.reference
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "import"
+for argv in {by_votes!r}:
+    assert finiagg.cli.main(argv) == 0, argv
+    assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, argv
+for argv in (  # numpy, which the --dataset front end imports, loads inspect
+    ["certify", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "3", "--d", "2"],
+    ["ia", "--dataset", {str(train_file)!r}, "--test", {str(test_file)!r}, "--k", "2"],
+):
+    assert finiagg.cli.main(argv) == 0, argv
+    assert "dataclasses" not in sys.modules, argv
 """
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
     proc = subprocess.run(
