@@ -4,12 +4,15 @@ from .datamodel import (
     AggregationConfig,
     Dataset,
     LabeledSample,
+    LearnerSpec,
+    VoteMatrix,
+    aggregate_prediction,
     validate_dataset,
 )
-from .ensemble import EnsembleStats, VoteMatrix, aggregate_prediction
 from .hashing import SpreadOffsets, generate_offsets, spread
 from .certifier import (
     CertificateReport,
+    EnsembleStats,
     RadiusStats,
     SampleCertificate,
     build_report,
@@ -18,7 +21,6 @@ from .certifier import (
     radius_stats,
 )
 from .infinite_aggregation import IAVoteDistribution, ia_radius, ia_vote_distributions
-from .learners import LearnerSpec
 from .oracle import VerificationReport, branch_and_bound_radius, verify_certificates
 
 __version__ = "0.1.0"

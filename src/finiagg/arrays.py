@@ -6,8 +6,8 @@ classifiers that train on it: classifier ``i``'s statistics are the sum of
 those of partitions ``(i - r) mod kd`` over the offsets ``r``. This module
 parses a training or test CSV's body into int64 blocks of rows, folds the
 training rows into (kd, C) label counts and (kd, C, F) feature sums, takes
-that circulant sum, and votes with the same decision rules as ``learners``,
-in NumPy arrays.
+that circulant sum, and votes with the same decision rules as the built-in
+learners (``datamodel``), in NumPy arrays.
 
 The class axis has one entry per label up to the largest training label,
 not ``n_classes``: a class without samples never wins. Sums and products are
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
 import numpy as np
 
@@ -54,15 +55,15 @@ def circulant_sum(values, shifts: Iterable[int], dtype):
     return out
 
 
-class Statistics(NamedTuple):
-    """Label counts ``[i][c]`` and, for the centroid learner, feature sums ``[i][c][f]``.
+class Statistics(namedtuple("Statistics", "counts sums max_cell")):
+    """Label counts ``[i][c]``, for the centroid learner feature sums ``[i][c][f]``, and the largest cell.
 
     ``i`` indexes partitions or classifiers, ``c`` classes up to the largest
-    label seen (at least one), ``f`` features.
+    label seen (at least one), ``f`` features. ``max_cell`` is the largest
+    feature of any training row, 0 without rows.
     """
 
-    counts: np.ndarray
-    sums: np.ndarray | None
+    __slots__ = ()
 
 
 def _int64_block(lines: list[str], width: int, n_classes: int | None) -> np.ndarray | None:
@@ -146,7 +147,7 @@ def partition_statistics(
                 np.add.at(sums.reshape(-1, feature_dim), key, features)
     except (MemoryError, ValueError):  # NumPy's refusals of a size; the blocks raise neither
         return None
-    return Statistics(counts, sums)
+    return Statistics(counts, sums, max_cell)
 
 
 def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Statistics:
@@ -156,7 +157,18 @@ def classifier_statistics(partitions: Statistics, offsets: SpreadOffsets) -> Sta
     return Statistics(
         circulant_sum(partitions.counts, shifts, np.int64),
         None if sums is None else circulant_sum(sums, shifts, sums.dtype),
+        partitions.max_cell,
     )
+
+
+def _centroid_dtype(max_n: int, max_cell: int, feature_dim: int):
+    """int64 if no product the centroid tournament compares can reach 2^63, else object (Python ints).
+
+    With M the largest training or test cell, ``n_c x_f`` and ``s_cf`` both
+    lie in ``[0, n_c M]``, so ``|n_c x - s_c|^2 <= F (n_c M)^2`` and every
+    ``num_a * n_b^2`` is at most ``F (max_n M)^2 max_n^2``.
+    """
+    return np.int64 if feature_dim * (max_n * max_cell) ** 2 * max_n**2 < INT64_LIMIT else object
 
 
 def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]:
@@ -166,11 +178,11 @@ def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]
     ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``. A tournament over the
     classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``
     and skips absent classes, so ties stay with the smaller index and a
-    model without samples votes 0. It runs in int64 while every product stays
-    below 2^63, judged by ``(max n * max(x, s))^2 * F * (max n)^2``, and in
-    Python ints otherwise. A test array of another width than the training
-    features raises ``DimensionMismatch``, as ``NearestCentroidModel.predict``
-    does, unless no model has samples or there are no test rows.
+    model without samples votes 0. It runs in int64 while every compared
+    product stays below 2^63 (``_centroid_dtype``), and in Python ints
+    otherwise. A test array of another width than the training features
+    raises ``DimensionMismatch``, as ``NearestCentroidModel.predict`` does,
+    unless no model has samples or there are no test rows.
     """
     counts, sums = classifiers.counts, classifiers.sums
     kd, n_classes, feature_dim = sums.shape
@@ -178,9 +190,7 @@ def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]
         return [[0] * kd for _ in range(len(test))]
     if test.shape[1] != feature_dim:
         raise DimensionMismatch(f"expected {feature_dim} features, got {test.shape[1]}")
-    max_n = int(counts.max())
-    max_value = max(int(sums.max()), int(test.max()))
-    dtype = np.int64 if (max_n * max_value) ** 2 * feature_dim * max_n**2 < INT64_LIMIT else object
+    dtype = _centroid_dtype(int(counts.max()), max(classifiers.max_cell, int(test.max())), feature_dim)
     counts, sums, test = (a.astype(dtype, copy=False) for a in (counts, sums, test))
     den = counts * counts
     sq_sums = np.einsum("icf,icf->ic", sums, sums)

@@ -18,10 +18,10 @@ inequalities: this is the fractional certificate multiplied through by
 The plain disjoint-partition baseline is the same computation with every
 ``e_j`` replaced by its ceiling ``2d``; with ``d = 1`` the two coincide.
 
-Every ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from a
-``2d + 1``-bin histogram of the losses instead of a sort. One routine without
-NumPy, ``_vote_losses``, gives every command those histograms, and one
-per-row rule, ``_certificate``, reads them. Since ``e_j <= 2d``, a
+Every ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from
+counting each loss value, from ``2d`` down, instead of a sort. One routine
+without NumPy, ``_vote_losses``, gives every command the packed losses, and
+one per-row rule, ``_certificate``, counts them. Since ``e_j <= 2d``, a
 challenger's fine radius is at least ``min(kd, rhs // 2d)``, its baseline, so
 the rule computes only the challengers whose bound is below the fine radius
 so far. The readable reference they are checked against, ``MarginTable``
@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .ensemble import EnsembleStats, VoteMatrix
+from .datamodel import VoteMatrix, argmax
 from .errors import (
     DataError,
     EmptyTestSet,
@@ -46,45 +47,45 @@ from .errors import (
     MissingLabels,
 )
 from .hashing import SpreadOffsets
-from .learners import argmax
 
 ENUMERATION_CAP = 10**6  # the most shared poison sets Q that cert-acc scores by default
 
 
-class SampleCertificate(NamedTuple):
-    predicted: int
-    correct: bool | None
-    dpa_radius: int
-    fa_radius: int
+class SampleCertificate(namedtuple("SampleCertificate", "predicted correct dpa_radius fa_radius")):
+    __slots__ = ()
 
 
-class RadiusStats(NamedTuple):
-    pr_radius_up: Fraction
-    mean_delta_r: Fraction
+class RadiusStats(namedtuple("RadiusStats", "pr_radius_up mean_delta_r")):
+    __slots__ = ()
 
 
-class CertificateReport(NamedTuple):
-    certificates: tuple[SampleCertificate, ...]
-    curve: tuple[Fraction, ...]
-    stats: RadiusStats
-    ensemble: EnsembleStats | None  # None without labels
+class EnsembleStats(namedtuple("EnsembleStats", "clean_accuracy base_accuracy")):
+    __slots__ = ()
 
 
-def _histogram_radius(hist: Sequence[int], rhs: int) -> int:
-    """Largest m whose m largest losses sum to at most ``rhs``; ``hist[e]`` counts loss e.
+class CertificateReport(namedtuple("CertificateReport", "certificates curve stats ensemble")):
+    """The certificates, the curve, the radius statistics and, with labels only, the ``EnsembleStats``."""
 
-    Walks the bins from the largest loss down, as ``_scan_radius`` walks the
-    sorted losses, and reads no bin below the one where it stops; ``rhs >= 0``
-    because the prediction is the arg-max.
+    __slots__ = ()
+
+
+def _histogram_radius(lanes: Sequence[int], rhs: int, top: int) -> int:
+    """Largest m whose m largest losses sum to at most ``rhs``; ``lanes`` holds losses in ``[0, top]``.
+
+    Walks the loss values from ``top`` down, as ``_scan_radius`` walks the
+    sorted losses, with one ``lanes.count`` per value, and counts no value
+    below the one where it stops; ``rhs >= 0`` because the prediction is the
+    arg-max.
     """
     m = 0
-    for loss in range(len(hist) - 1, 0, -1):
-        take = min(hist[loss], rhs // loss)
+    for loss in range(top, 0, -1):
+        count = lanes.count(loss)
+        take = min(count, rhs // loss)
         m += take
-        if take < hist[loss]:
+        if take < count:
             return m
         rhs -= take * loss
-    return m + hist[0]  # zero losses never exhaust the margin
+    return len(lanes)  # zero losses never exhaust the margin
 
 
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's unsigned formats, by size in bytes
@@ -104,43 +105,27 @@ def _lanes(losses: bytes, d: int) -> Sequence[int]:
     return losses if width == 1 else struct.unpack(f"<{len(losses) // width}{_FORMATS[width]}", losses)
 
 
-class _Histogram:
-    """A challenger's ``2d + 1``-bin histogram of its packed ``losses``; each bin is counted when first read."""
-
-    def __init__(self, losses: bytes, d: int):
-        self.losses = losses
-        self._lanes = _lanes(losses, d)
-        self._bins: list[int | None] = [None] * (2 * d + 1)
-
-    def __len__(self) -> int:
-        return len(self._bins)
-
-    def __getitem__(self, loss: int) -> int:
-        if self._bins[loss] is None:
-            self._bins[loss] = self._lanes.count(loss)
-        return self._bins[loss]
-
-
 class RowLosses:
     """One vote row's losses against each challenger, each computed when first asked for.
 
     ``counts`` holds ``N_q`` of the prediction and of every challenger: the
     classes with votes and the smallest class without, which stands for the
-    rest. ``hist(q).losses`` packs partition j's loss ``d + a[c][j] - a[q][j]``
+    rest. ``losses(q)`` packs partition j's loss ``d + a[c][j] - a[q][j]``
     into bytes ``[j * w, (j + 1) * w)``, little-endian, where ``w`` is the
-    fewest bytes that hold ``2d``; ``pack_losses`` computes them, and
-    ``hist(q)[e]`` counts the partitions whose loss is e. The fields and
-    ``rhs`` and ``delta_elements`` are named as ``MarginTable``'s, so the
-    reference rules read a row as they read its table.
+    fewest bytes that hold ``2d``; ``pack_losses`` computes them once per
+    challenger, and ``lanes(q)`` reads them back, one loss per partition.
+    The fields and ``rhs`` and ``delta_elements`` are named as
+    ``MarginTable``'s, so the reference rules read a row as they read its
+    table.
     """
 
-    __slots__ = ("prediction", "kd", "d", "n_classes", "counts", "pack_losses", "_hists")
+    __slots__ = ("prediction", "kd", "d", "n_classes", "counts", "pack_losses", "_losses")
 
     def __init__(self, prediction: int, kd: int, d: int, n_classes: int, counts: dict[int, int],
                  pack_losses: Callable[[int], bytes]):
         self.prediction, self.kd, self.d, self.n_classes = prediction, kd, d, n_classes
         self.counts, self.pack_losses = counts, pack_losses
-        self._hists: dict[int, _Histogram] = {}
+        self._losses: dict[int, bytes] = {}
 
     def challengers(self) -> list[int]:
         return [q for q in self.counts if q != self.prediction]
@@ -149,15 +134,18 @@ class RowLosses:
         c = self.prediction
         return self.counts[c] - self.counts.get(challenger, 0) - (challenger < c)
 
-    def hist(self, challenger: int) -> _Histogram:
-        if challenger not in self._hists:
-            self._hists[challenger] = _Histogram(self.pack_losses(challenger), self.d)
-        return self._hists[challenger]
+    def losses(self, challenger: int) -> bytes:
+        if challenger not in self._losses:
+            self._losses[challenger] = self.pack_losses(challenger)
+        return self._losses[challenger]
+
+    def lanes(self, challenger: int) -> Sequence[int]:
+        return _lanes(self.losses(challenger), self.d)
 
     def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
         if challenger not in self.counts:  # no votes: the losses of the class that stands for it
             challenger = min(self.counts, key=self.counts.__getitem__)
-        lanes = _lanes(self.hist(challenger).losses, self.d)
+        lanes = self.lanes(challenger)
         return sorted((lanes[j] for j in (range(self.kd) if scope is None else scope)), reverse=True)
 
     def certificate(self, label: int | None) -> SampleCertificate:
@@ -240,7 +228,7 @@ def _certificate(row: RowLosses, label: int | None) -> SampleCertificate:
     for rhs, q in margins:
         if min(kd, rhs // (2 * d)) >= fine:
             break
-        fine = min(fine, _histogram_radius(row.hist(q), rhs))
+        fine = min(fine, _histogram_radius(row.lanes(q), rhs, 2 * d))
     return SampleCertificate(predicted=c, correct=None if label is None else True, dpa_radius=base, fa_radius=fine)
 
 
@@ -375,8 +363,8 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
             start = shift
             for q in row.challengers():
                 rhs = row.rhs(q)
-                if rhs // (2 * d) < q_size and _histogram_radius(row.hist(q), rhs) < q_size:
-                    chunk, losses = bytearray(kd * size), row.hist(q).losses
+                if rhs // (2 * d) < q_size and _histogram_radius(row.lanes(q), rhs, 2 * d) < q_size:
+                    chunk, losses = bytearray(kd * size), row.losses(q)
                     for b in range(lane):
                         chunk[b::size] = losses[b::lane]
                     chunks.append(chunk)

@@ -37,8 +37,10 @@ from typing import Sequence
 from .certifier import (
     ENUMERATION_CAP, RowLosses, _certified_accuracy, _shared_set_size, _vote_losses, build_report,
 )
-from .datamodel import AggregationConfig, Dataset, LabeledSample, check_row, validate_dataset
-from .ensemble import VoteMatrix
+from .datamodel import (
+    MAJORITY_LABEL, NEAREST_CENTROID, AggregationConfig, Dataset, LabeledSample, LearnerSpec, VoteMatrix,
+    check_row, validate_dataset,
+)
 from .errors import (
     DataError,
     EmptyTestSet,
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .hashing import SpreadOffsets, generate_offsets
 from .infinite_aggregation import DEFAULT_LIMIT as IA_LIMIT, ia_radius, ia_vote_distributions
-from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec
 from .oracle import DEFAULT_LIMIT as ORACLE_LIMIT, verify_certificates
 
 # short names for --learner; LearnerSpec decides whether any other name is a learner kind
@@ -376,23 +377,23 @@ def _matrix_from_args(args) -> VoteMatrix:
 def _delta_rows(matrix: VoteMatrix):
     """Each row's ``delta_multisets`` entry, as ``json.dump(indent=2)`` writes it two levels deep.
 
-    Elements are losses in descending order, loss e written ``hist[e]`` times;
-    the classes without votes share one histogram's text. Every row has one
-    entry per class, so a class count that a list of that length could not
-    hold is refused here, before any row is made.
+    Elements are losses in descending order, loss e written once per
+    partition whose loss is e; the classes without votes share one text.
+    Every row has one entry per class, so a class count that a list of that
+    length could not hold is refused here, before any row is made.
     """
-    n_classes = matrix.config.n_classes
+    n_classes, top = matrix.config.n_classes, 2 * matrix.config.d
     try:
         [None] * n_classes  # one entry per class
     except (MemoryError, OverflowError):
         raise LimitError(f"a margin table of {n_classes} classes does not fit in memory") from None
 
-    def elements(hist: Sequence[int]) -> str:
-        return "".join(f"\n            {e}," * hist[e] for e in range(len(hist) - 1, -1, -1))[:-1]
+    def elements(lanes: Sequence[int]) -> str:
+        return "".join(f"\n            {e}," * lanes.count(e) for e in range(top, -1, -1))[:-1]
 
     def entry(row: RowLosses) -> str:
         c = row.prediction
-        listed = {q: elements(row.hist(q)) for q in row.challengers()}
+        listed = {q: elements(row.lanes(q)) for q in row.challengers()}
         without_votes = next((q for q in listed if row.counts[q] == 0), None)
         delta = []
         for q in range(n_classes):

@@ -1,15 +1,40 @@
-"""Core domain types: labeled samples, datasets, and ensemble configuration.
+"""Core domain types: labeled samples, datasets, the ensemble's configuration and its votes.
 
 Training data is a multiset of integer feature vectors with class labels.
 All types are immutable and hashable.
+
+Two built-in learners allow end-to-end runs without external ML
+dependencies: ``majority-label`` ignores features and predicts the most
+frequent training label; ``nearest-centroid`` predicts the class whose mean
+feature vector is nearest in squared distance, compared in exact integers.
+Votes of any other learner reach the certifier through a vote-matrix file,
+which names no learner. Both built-ins break every tie toward the smaller
+class index (``argmax``), and models trained on an empty subset predict
+class 0. Prediction never touches floating point. The models and their
+trainer are the readable reference in ``finiagg.reference``; ``arrays``
+votes by the same rules.
+
+The vote matrix is the sole input to every certificate downstream: row t
+holds the ``kd`` class votes for test input t, one per base classifier.
+Votes are kept as a dense table (not per-class counts) because the
+certificates need per-partition counts, which require knowing which
+classifier cast each vote. The ensemble predicts by majority vote, ties to
+the smaller class index (``aggregate_prediction``).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
-from .errors import DataError, LabelOutOfRange, NegativeFeature, RaggedRow, RowError
+from .errors import (
+    DataError, DimensionMismatch, LabelOutOfRange, NegativeFeature, RaggedRow, RowError, UnknownLearnerKind,
+)
+from .hashing import SpreadOffsets
+
+MAJORITY_LABEL = "majority-label"
+NEAREST_CENTROID = "nearest-centroid"
+KNOWN_KINDS = (MAJORITY_LABEL, NEAREST_CENTROID)
 
 
 class LabeledSample(namedtuple("LabeledSample", "features label")):
@@ -89,6 +114,67 @@ class AggregationConfig(namedtuple("AggregationConfig", "k d n_classes")):
     @property
     def kd(self) -> int:
         return self.k * self.d
+
+
+class LearnerSpec(namedtuple("LearnerSpec", "kind")):
+    __slots__ = ()
+
+    def __new__(cls, kind: str):
+        if kind not in KNOWN_KINDS:
+            raise UnknownLearnerKind(kind)
+        return super().__new__(cls, kind)
+
+
+class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
+    """n_test x kd class votes plus the metadata needed to certify them."""
+
+    __slots__ = ()
+
+    def __new__(cls, votes: tuple[tuple[int, ...], ...], config: AggregationConfig,
+                offsets: SpreadOffsets, labels: tuple[int, ...] | None = None):
+        kd = config.kd
+        if offsets.kd != kd:
+            raise DataError(f"offsets kd={offsets.kd} does not match config kd={kd}")
+        if offsets.d != config.d:
+            raise DataError(f"{offsets.d} offsets for spread degree d={config.d}")
+        n_classes = config.n_classes
+        for t, row in enumerate(votes):
+            if len(row) != kd:
+                raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
+            if min(row) < 0 or max(row) >= n_classes:
+                v = next(v for v in row if v < 0 or v >= n_classes)
+                raise DataError(f"vote row {t}: class {v} outside [0, {n_classes})")
+        if labels is not None:
+            if len(labels) != len(votes):
+                raise DimensionMismatch(f"{len(labels)} labels for {len(votes)} vote rows")
+            for t, lab in enumerate(labels):
+                if lab < 0 or lab >= n_classes:
+                    raise DataError(f"label {t}: class {lab} outside [0, {n_classes})")
+        return super().__new__(cls, votes, config, offsets, labels)
+
+    @property
+    def n_test(self) -> int:
+        return len(self.votes)
+
+
+def argmax(scores: Sequence) -> int:
+    """Index of the largest score; ties go to the smaller index."""
+    best = 0
+    for c in range(1, len(scores)):
+        if scores[c] > scores[best]:
+            best = c
+    return best
+
+
+def aggregate_prediction(row: Sequence[int], n_classes: int) -> int:
+    """Majority vote over one row; ties go to the smaller class index.
+
+    Only the classes with votes are counted, in class order, never all
+    ``n_classes``: a class without votes never beats one with votes.
+    """
+    counts = Counter(row)
+    classes = sorted(counts)
+    return classes[argmax([counts[c] for c in classes])] if classes else 0
 
 
 def validate_dataset(

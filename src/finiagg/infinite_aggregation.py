@@ -19,27 +19,23 @@ reference, one probe at a time and its exhaustive attack check, is in
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .datamodel import Dataset
+from .datamodel import NEAREST_CENTROID, Dataset, LearnerSpec, argmax
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
-from .learners import NEAREST_CENTROID, LearnerSpec, argmax
 
 DEFAULT_LIMIT = 16
 
 
-class IAVoteDistribution(NamedTuple):
-    """Exact class scores, overall and conditioned on each sample's inclusion."""
+class IAVoteDistribution(namedtuple("IAVoteDistribution", "per_class conditional k n_samples prediction")):
+    """Exact class scores, overall and conditioned on each sample's inclusion (``conditional[position][class]``)."""
 
-    per_class: tuple[Fraction, ...]
-    conditional: tuple[tuple[Fraction, ...], ...]  # [sample position][class]
-    k: int
-    n_samples: int
-    prediction: int
+    __slots__ = ()
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:

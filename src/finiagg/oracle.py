@@ -23,10 +23,11 @@ partitions still to pick can add, which gives the same radius on every row.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .certifier import _vote_losses
-from .ensemble import aggregate_prediction
+from .datamodel import aggregate_prediction
 from .errors import InstanceTooLarge
 from .hashing import SpreadOffsets, spread
 
@@ -125,18 +126,13 @@ def _gains_past(m: int, threshold: int, gain, masks: Sequence[int], prefix: Sequ
     return search(0, 0, m)
 
 
-class RowVerification(NamedTuple):
-    index: int
-    fa_radius: int
-    dpa_radius: int | None
-    exact_radius: int
-    gap: int
-    sound: bool
-    dpa_equivalent: bool | None
+class RowVerification(namedtuple("RowVerification",
+                                  "index fa_radius dpa_radius exact_radius gap sound dpa_equivalent")):
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
-    rows: tuple[RowVerification, ...]
+class VerificationReport(namedtuple("VerificationReport", "rows")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

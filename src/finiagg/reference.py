@@ -16,16 +16,17 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import certifier
 from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size, _width
-from .datamodel import AggregationConfig, Dataset, LabeledSample
-from .ensemble import VoteMatrix, aggregate_prediction
+from .datamodel import (
+    MAJORITY_LABEL, NEAREST_CENTROID, AggregationConfig, Dataset, LabeledSample, LearnerSpec, VoteMatrix,
+    aggregate_prediction, argmax,
+)
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
 from .hashing import SpreadOffsets, spread
 from .infinite_aggregation import IAVoteDistribution, ia_vote_distributions
-from .learners import MAJORITY_LABEL, NEAREST_CENTROID, LearnerSpec, argmax
 from .oracle import DEFAULT_LIMIT, _partition_masks  # 16, as infinite_aggregation's
 
 
@@ -149,15 +150,14 @@ def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
     return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
 
 
-class MajorityLabelModel(NamedTuple):
-    n_classes: int
-    label_counts: tuple[int, ...]
+class MajorityLabelModel(namedtuple("MajorityLabelModel", "n_classes label_counts")):
+    __slots__ = ()
 
     def predict(self, features: Sequence[int]) -> int:
         return argmax(self.label_counts)
 
 
-class NearestCentroidModel(NamedTuple):
+class NearestCentroidModel(namedtuple("NearestCentroidModel", "n_classes feature_dim class_counts class_sums")):
     """Per-class feature sums and counts; the centroid of class c is sum_c / n_c.
 
     Only classes present in the training subset have centroids and enter the
@@ -167,10 +167,7 @@ class NearestCentroidModel(NamedTuple):
     so the decision is exact at any magnitude.
     """
 
-    n_classes: int
-    feature_dim: int
-    class_counts: tuple[int, ...]
-    class_sums: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def predict(self, features: Sequence[int]) -> int:
         if not any(self.class_counts):

@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finiagg import (
@@ -219,3 +220,38 @@ def test_sums_switch_to_python_ints_mid_stream_and_then_the_class_axis_grows(tmp
         assert cli.main([str(a) for a in args]) == 0
         got = cli.load_votes(tmp_path / "votes.json").votes
         assert got == _reference(rows, test_inputs, 2, 3, 2, 0, learner, None)[0]
+
+
+def test_centroid_dtype_is_int64_exactly_below_2_to_the_63():
+    """``F * (max_n * M)^2 * max_n^2 < 2^63`` decides, with M the largest cell, at the edge of each factor."""
+    edge = isqrt(LIMIT - 1)  # edge^2 < 2^63 <= (edge + 1)^2
+    assert arrays._centroid_dtype(1, edge, 1) is np.int64
+    assert arrays._centroid_dtype(1, edge + 1, 1) is object
+    assert arrays._centroid_dtype(1024, 2896, 1) is np.int64  # 2^40 * 2896^2 < 2^63
+    assert arrays._centroid_dtype(1024, 2897, 1) is object
+    assert arrays._centroid_dtype(1, 2**30, 7) is np.int64  # 7 * 2^60
+    assert arrays._centroid_dtype(1, 2**30, 8) is object  # 8 * 2^60 = 2^63
+    assert arrays._centroid_dtype(2**10, 2**10, 7) is np.int64  # 7 * 2^40 * 2^20
+    assert arrays._centroid_dtype(2**10, 2**10, 8) is object
+
+
+@pytest.mark.parametrize("rows, tests, dtype", [
+    # 1,024 rows of cell 0 against 1,024 of cell M, voted at x = M: num_0 * n_1^2 = 2^40 M^2 is the bound
+    ([(0, 0)] * 1024 + [(1, 2896)] * 1024, [(2896,), (1448,), (0,), (1449,)], np.int64),
+    ([(0, 0)] * 1024 + [(1, 2897)] * 1024, [(2897,), (1448,), (0,), (1449,)], object),
+    # large sums from small cells: the feature sums reach 2,000, the cells only 1
+    ([(0, 0, 1)] * 2000 + [(1, 1, 0)] * 2000 + [(2, 1, 1)], [(0, 1), (1, 0), (1, 1), (0, 0)], np.int64),
+])
+def test_centroid_votes_take_int64_exactly_while_the_bound_holds(rows, tests, dtype):
+    """Votes in the dtype the largest cell and count decide, equal to the reference trainer's on each side."""
+    judged = []
+
+    def record(*args):
+        judged.append(centroid_dtype(*args))
+        return judged[-1]
+
+    centroid_dtype, width = arrays._centroid_dtype, len(tests[0])
+    with mock.patch.object(arrays, "_centroid_dtype", record):
+        got, _ = _cli_votes(rows, tests, width, 1, 1, 0, "centroid", None)
+    assert judged == [dtype]
+    assert got == _reference(rows, tests, width, 1, 1, 0, "centroid", None)[0]

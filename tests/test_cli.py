@@ -673,6 +673,18 @@ for argv in (  # numpy, which the --dataset front end imports, loads inspect
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_cli_loads_eight_package_modules():
+    import subprocess
+    import sys
+
+    script = "import sys, finiagg.cli; print(sorted(n for n in sys.modules if n.split('.')[0] == 'finiagg'))"
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted(["finiagg", *(f"finiagg.{m}" for m in (
+        "cli", "certifier", "datamodel", "errors", "hashing", "oracle", "infinite_aggregation"))]))
+
+
 def test_no_command_imports_the_references(tmp_path, train_file, test_file):
     import subprocess
     import sys
@@ -1274,16 +1286,16 @@ def test_ia_rejects_a_nonpositive_k(tmp_path, train_file, test_file, k, capsys):
 
 @pytest.mark.parametrize("command", [["certify"], ["certify", "--stats"], ["curve"], ["compare"]])
 def test_certifying_takes_no_second_majority_vote(tmp_path, train_file, test_file, command, monkeypatch):
-    from finiagg import ensemble, oracle
+    from finiagg import datamodel, oracle
 
     calls = []
-    original = ensemble.aggregate_prediction
+    original = datamodel.aggregate_prediction
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ensemble, "aggregate_prediction", counting)
+    monkeypatch.setattr(datamodel, "aggregate_prediction", counting)
     monkeypatch.setattr(oracle, "aggregate_prediction", counting)
     assert _run(
         *command, "--dataset", train_file, "--test", test_file, "--k", 3, "--d", 2,

@@ -16,8 +16,8 @@ from finiagg import (
     train,
 )
 from finiagg import cli
+from finiagg.datamodel import argmax
 from finiagg.errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
-from finiagg.learners import argmax
 
 MAJORITY = LearnerSpec("majority-label")
 CENTROID = LearnerSpec("nearest-centroid")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
 from finiagg.certifier import (
+    _FORMATS,
     _histogram_radius,
+    _lanes,
     _vote_losses,
+    _width,
     certified_fraction_curve,
     certify_matrix,
 )
 from finiagg.errors import DataError, LimitError
-from finiagg.reference import _scan_radius
+from finiagg.reference import _scan_radius, margin_table
 
 from conftest import reference_certificates
 
@@ -71,9 +75,8 @@ def test_histogram_walk_matches_the_sorted_scan():
     for _ in range(2000):
         d = rng.randint(1, 4)
         losses = [rng.randint(0, 2 * d) for _ in range(rng.randint(1, 12))]
-        hist = [losses.count(e) for e in range(2 * d + 1)]
         rhs = rng.randint(0, 3 * d * len(losses))
-        assert _histogram_radius(hist, rhs) == _scan_radius(sorted(losses, reverse=True), rhs)
+        assert _histogram_radius(losses, rhs, 2 * d) == _scan_radius(sorted(losses, reverse=True), rhs)
 
 
 def test_histogram_radius_is_at_least_the_baseline():
@@ -82,8 +85,43 @@ def test_histogram_radius_is_at_least_the_baseline():
         for kd in range(0, 5):
             for hist in itertools.product(range(kd + 1), repeat=2 * d + 1):
                 if sum(hist) == kd:
+                    lanes = [e for e, n in enumerate(hist) for _ in range(n)]
                     for rhs in range(0, 2 * d * kd + 2 * d + 2):
-                        assert _histogram_radius(hist, rhs) >= min(kd, rhs // (2 * d))
+                        assert _histogram_radius(lanes, rhs, 2 * d) >= min(kd, rhs // (2 * d))
+
+
+class _CountedLanes:
+    """Packed losses read back by ``_lanes`` that record each value ``count`` is asked for."""
+
+    def __init__(self, losses, d):
+        width = _width(2 * d, "losses")
+        self.lanes = _lanes(struct.pack(f"<{len(losses)}{_FORMATS[width]}", *losses), d)
+        self.counted = []
+
+    def __len__(self):
+        return len(self.lanes)
+
+    def count(self, value):
+        self.counted.append(value)
+        return self.lanes.count(value)
+
+
+def test_histogram_walk_counts_each_value_from_2d_down_to_its_stop():
+    """One ``count`` per loss value, from 2d down to the first value that does not fit; none below it."""
+    rng = random.Random(5)
+    for d in (1, 2, 3, 7, 127, 128, 200, 1000):  # 1-byte lanes up to d = 127, 2-byte ones past it
+        for _ in range(150):
+            kd = rng.randint(1, 40)
+            top = rng.choice([2 * d, rng.randint(0, 2 * d)])  # some rows never reach the cap
+            losses = [rng.randint(0, top) for _ in range(kd)]
+            ranked = sorted(losses, reverse=True)
+            rhs = rng.choice([rng.randint(0, sum(losses) + 1), sum(ranked[: rng.randint(0, kd)])])
+            lanes = _CountedLanes(losses, d)
+            radius = _histogram_radius(lanes, rhs, 2 * d)
+            assert radius == _scan_radius(ranked, rhs)
+            assert isinstance(lanes.lanes, bytes) == (d < 128)
+            stop = ranked[radius] if radius < kd else 1  # the largest loss that does not fit
+            assert lanes.counted == list(range(2 * d, stop - 1, -1))
 
 
 def test_pruned_certificates_match_reference_with_evenly_matched_challengers():
@@ -105,7 +143,28 @@ def test_pruned_certificates_match_reference_with_evenly_matched_challengers():
         for votes, label in zip(rows, labels):
             row = _vote_losses(votes, offsets, n_classes)
             row.certificate(label)
-            assert sorted(row._hists) == sorted(row.challengers())  # every challenger was read
+            assert sorted(row._losses) == sorted(row.challengers())  # every challenger was read
+
+
+def test_certificate_stops_at_the_first_challenger_whose_bound_reaches_the_radius():
+    """Challengers are computed in ascending ``rhs`` until ``min(kd, rhs // 2d)`` reaches the fine radius so far."""
+    rng = random.Random(17)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        kd, n_classes = d * rng.randint(1, 8), rng.randint(2, 7)
+        offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
+        favourite, share = rng.randrange(n_classes), rng.random()
+        votes = tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
+        row, table = _vote_losses(votes, offsets, n_classes), margin_table(votes, offsets, n_classes)
+        cert = row.certificate(row.prediction)
+        want, fine = [], kd
+        for rhs, q in sorted((row.rhs(q), q) for q in row.challengers()):
+            if min(kd, rhs // (2 * d)) >= fine:
+                break
+            want.append(q)
+            fine = min(fine, _scan_radius(table.delta_elements(q), rhs))
+        assert list(row._losses) == want  # computed, in this order, and no other
+        assert cert.fa_radius == fine
 
 
 def test_class_indices_beyond_64_bits_are_a_limit_error():

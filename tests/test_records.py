@@ -124,9 +124,9 @@ def test_derived_fields():
 
 def test_statistics_hold_arrays():
     counts = np.zeros((2, 1), np.int64)
-    stats = Statistics(counts, None)
-    assert repr(stats) == "Statistics(counts=array([[0],\n       [0]]), sums=None)"
-    assert stats == Statistics(counts, None)  # the same array object
+    stats = Statistics(counts, None, 0)
+    assert repr(stats) == "Statistics(counts=array([[0],\n       [0]]), sums=None, max_cell=0)"
+    assert stats == Statistics(counts, None, 0)  # the same array object
     with pytest.raises(TypeError):
         hash(stats)  # an array is not hashable
     with pytest.raises(AttributeError):

@@ -12,7 +12,7 @@ from finiagg.reference import conditional_certified, dpa_baseline_radius, fa_rad
 
 
 def _assert_matches(matrix: VoteMatrix, tables: bool = True) -> None:
-    """Each row's prediction, challengers, vote counts and histograms equal its margin table's; with
+    """Each row's prediction, challengers, vote counts and per-partition losses equal its margin table's; with
     ``tables``, every class's losses, over every partition and over one random scope, and the
     certificate do too. Without, the table's counts are taken over the classes with votes only."""
     offsets, n_classes, kd, d = matrix.offsets, matrix.config.n_classes, matrix.config.kd, matrix.config.d
@@ -35,7 +35,7 @@ def _assert_matches(matrix: VoteMatrix, tables: bool = True) -> None:
         for q in challengers:
             losses = [d + x - y for x, y in zip(per_part[c], per_part.get(q, [0] * kd))]
             assert row.counts[q] == counts.get(q, 0)
-            assert [row.hist(q)[e] for e in range(2 * d + 1)] == [losses.count(e) for e in range(2 * d + 1)]
+            assert list(row.lanes(q)) == losses
         if tables:
             scope = rng.sample(range(offsets.kd), rng.randint(0, offsets.kd))
             for q in range(n_classes):
