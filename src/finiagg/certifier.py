@@ -20,8 +20,9 @@ The plain disjoint-partition baseline is the same computation with every
 
 Every ``e_j`` is an integer in ``[0, 2d]``, so the top-m sums follow from
 counting each loss value, from ``2d`` down, instead of a sort. One routine
-without NumPy, ``_vote_losses``, gives every command the packed losses, and
-one per-row rule, ``_certificate``, counts them. Since ``e_j <= 2d``, a
+without NumPy, ``_vote_losses``, reads a packed vote row as it is and packs
+every command's losses, and one per-row rule, ``_certificate``, counts them
+(``datamodel.unpack`` reads both back). Since ``e_j <= 2d``, a
 challenger's fine radius is at least ``min(kd, rhs // 2d)``, its baseline, so
 the rule computes only the challengers whose bound is below the fine radius
 so far. The readable reference they are checked against, ``MarginTable``
@@ -31,13 +32,12 @@ with ``fa_radius`` and ``dpa_baseline_radius``, is in ``finiagg.reference``.
 from __future__ import annotations
 
 import math
-import struct
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .datamodel import VoteMatrix, argmax
+from .datamodel import VoteMatrix, argmax, byte_width, pack, unpack
 from .errors import (
     DataError,
     EmptyTestSet,
@@ -88,23 +88,6 @@ def _histogram_radius(lanes: Sequence[int], rhs: int, top: int) -> int:
     return len(lanes)  # zero losses never exhaust the margin
 
 
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's unsigned formats, by size in bytes
-
-
-def _width(bound: int, what: str) -> int:
-    """Fewest bytes, of 1, 2, 4 and 8, that hold every value in ``[0, bound]``."""
-    for width in _FORMATS:
-        if bound >> 8 * width == 0:
-            return width
-    raise LimitError(f"{what} up to {bound} do not fit in a 64-bit integer")
-
-
-def _lanes(losses: bytes, d: int) -> Sequence[int]:
-    """The losses packed in ``losses``: the bytes themselves, or unpacked past one byte each."""
-    width = _width(2 * d, "margin losses")
-    return losses if width == 1 else struct.unpack(f"<{len(losses) // width}{_FORMATS[width]}", losses)
-
-
 class RowLosses:
     """One vote row's losses against each challenger, each computed when first asked for.
 
@@ -140,7 +123,7 @@ class RowLosses:
         return self._losses[challenger]
 
     def lanes(self, challenger: int) -> Sequence[int]:
-        return _lanes(self.losses(challenger), self.d)
+        return unpack(self.losses(challenger), self.kd)
 
     def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
         if challenger not in self.counts:  # no votes: the losses of the class that stands for it
@@ -152,41 +135,32 @@ class RowLosses:
         return _certificate(self, label)
 
 
-def _vote_losses(votes: Sequence[int], offsets: SpreadOffsets, n_classes: int) -> RowLosses:
-    """One row's prediction, vote counts and challengers' losses, without NumPy.
+def _vote_losses(votes: bytes, offsets: SpreadOffsets, n_classes: int) -> RowLosses:
+    """One packed vote row's prediction, vote counts and challengers' losses, without NumPy.
 
-    Each vote is packed in as few bytes as the classes need: as itself when
-    every class is below 256, else as the class's number among the classes
-    with votes, in class order. A class's one-hot is the AND, over those
-    bytes, of ``bytes.translate`` marking its byte, and its vote count is
-    the one-hot's ``bit_count``. Challenger q's losses are one Python int
-    with a ``w``-byte lane per partition: ``1 + hot[c] - hot[q]`` is 0, 1
-    or 2 per classifier, and its rotations by each offset sum to
-    ``d + a[c] - a[q]``. No lane carries or borrows, since a loss is at most
-    2d.
+    The row is read as ``VoteMatrix`` holds it: ``kd`` votes of ``code``
+    bytes each. Plane b holds byte b of every vote, and a class's one-hot is
+    the AND, over the planes, of ``bytes.translate`` marking the class's
+    byte b; its vote count is the one-hot's ``bit_count``. Challenger q's
+    losses are one Python int with a ``w``-byte lane per partition:
+    ``1 + hot[c] - hot[q]`` is 0, 1 or 2 per classifier, and its rotations
+    by each offset sum to ``d + a[c] - a[q]``. No lane carries or borrows,
+    since a loss is at most 2d.
     """
     kd, d = offsets.kd, offsets.d
-    lane = _width(2 * d, "margin losses")
-    try:
-        packed = bytes(votes)  # every class below 256: each vote is its own byte
-    except ValueError:  # else each vote is its class's number among the classes with votes
-        number = {q: i for i, q in enumerate(sorted(set(votes)))}
-        packed = struct.pack(f"<{kd}{_FORMATS[_width(len(number) - 1, 'class numbers')]}",
-                             *map(number.__getitem__, votes))
-    else:
-        number = {q: q for q in range(min(n_classes, 256)) if q in packed}
-    code = len(packed) // kd  # bytes per vote
-    planes = [packed[b::code] for b in range(code)]
+    lane = byte_width(2 * d, "margin losses")
+    code = len(votes) // kd  # bytes per vote
+    planes = [votes[b::code] for b in range(code)]
 
     def one_hot(q: int) -> int:  # bit 8j set iff classifier j votes q
         hot = -1
-        for plane, byte in zip(planes, number[q].to_bytes(code, "little")):
+        for plane, byte in zip(planes, q.to_bytes(code, "little")):
             mark = bytearray(256)
             mark[byte] = 1
             hot &= int.from_bytes(plane.translate(mark), "little")
         return hot
 
-    hots = {q: one_hot(q) for q in number}
+    hots = {q: one_hot(q) for q in sorted(set(unpack(votes, kd)))}
     counts = {q: hot.bit_count() for q, hot in hots.items()}
     classes = list(counts)
     c = classes[argmax(list(counts.values()))]
@@ -198,10 +172,8 @@ def _vote_losses(votes: Sequence[int], offsets: SpreadOffsets, n_classes: int) -
 
     def pack_losses(q: int) -> bytes:
         step = ahead - one_hot(q) if counts[q] else ahead  # 0, 1 or 2 per classifier
-        if lane > 1:
-            wide = bytearray(kd * lane)
-            wide[::lane] = step.to_bytes(kd, "little")
-            step = int.from_bytes(wide, "little")
+        if lane > 1:  # widened to one lane per classifier
+            step = int.from_bytes(pack(step.to_bytes(kd, "little"), lane), "little")
         step |= step << bits  # twice round, so each offset's rotation is one shift
         summed = sum(step >> 8 * lane * r for r in offsets.offsets) & (1 << bits) - 1
         return summed.to_bytes(kd * lane, "little")
@@ -331,10 +303,11 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
     ints whose lanes hold every (row, challenger) margin.
 
     Lanes: each challenger of a scored row whose own radius is below
-    ``q_size`` (no other can break) gets one lane of ``size`` bytes, and each
-    row one spare lane after its own. A challenger with ``rhs // 2d >= q_size``
-    is skipped before its losses are computed: that bound is at most its radius. ``losses[j]`` holds partition j's loss
-    in every lane. It is read off the joined lanes' bytes by transposition,
+    ``q_size`` (no other can break) gets one lane of ``size`` bytes, its
+    losses ``pack``ed at that width, and each row one spare lane after its
+    own. A challenger with ``rhs // 2d >= q_size`` is skipped before its
+    losses are computed: that bound is at most its radius. ``losses[j]``
+    holds partition j's loss in every lane. It is read off the joined lanes' bytes by transposition,
     every ``kd * size``-th byte, so the fill is linear in the rows.
 
     Clamp and bias: a sum of ``q_size`` losses is at most
@@ -349,8 +322,8 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
     """
     n, kd, d = len(rows), rows[0].kd, rows[0].d
     cap = q_size * 2 * d
-    lane = _width(2 * d, "margin losses")
-    size = max(lane, (cap.bit_length() + 8) // 8)
+    lane = byte_width(2 * d, "margin losses")
+    size = max(lane, byte_width(2 * cap + 1, "shared-set sums"))
     bits = 8 * size
     always = scored = 0  # rows certified under every Q, and rows some Q may break
     chunks, bias, tops, fill, carries = [], 0, 0, 0, 0
@@ -364,10 +337,7 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
             for q in row.challengers():
                 rhs = row.rhs(q)
                 if rhs // (2 * d) < q_size and _histogram_radius(row.lanes(q), rhs, 2 * d) < q_size:
-                    chunk, losses = bytearray(kd * size), row.losses(q)
-                    for b in range(lane):
-                        chunk[b::size] = losses[b::lane]
-                    chunks.append(chunk)
+                    chunks.append(pack(row.lanes(q), size))
                     bias |= (1 << bits - 1) - 1 - min(rhs, cap) << shift
                     shift += bits
                     tops |= 1 << shift - 1

@@ -39,7 +39,7 @@ from .certifier import (
 )
 from .datamodel import (
     MAJORITY_LABEL, NEAREST_CENTROID, AggregationConfig, Dataset, LabeledSample, LearnerSpec, VoteMatrix,
-    check_row, validate_dataset,
+    byte_width, check_row, pack, unpack, validate_dataset,
 )
 from .errors import (
     DataError,
@@ -218,7 +218,7 @@ def votes_to_json(matrix: VoteMatrix) -> str:
     if matrix.labels is not None:
         fields["labels"] = list(matrix.labels)
     head = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in fields.items())
-    rows = ",\n".join(f"    {json.dumps(row)}" for row in matrix.votes)
+    rows = ",\n".join(f"    {json.dumps(list(unpack(row, matrix.config.kd)))}" for row in matrix.votes)
     return "{\n" + head + '  "votes": [\n' + rows + "\n  ]\n}\n"
 
 
@@ -229,8 +229,7 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _json_ints(values, field: str) -> tuple[int, ...]:
-    values = tuple(values)
+def _json_ints(values, field: str):  # values themselves, not a copy
     if not set(map(type, values)) <= {int}:
         for v in values:  # only on failure: name the first offending value
             _json_int(v, field)
@@ -238,7 +237,7 @@ def _json_ints(values, field: str) -> tuple[int, ...]:
 
 
 def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteMatrix:
-    """The vote matrix in ``text``; the text is dropped once parsed, and each row's list as its tuple is made."""
+    """The vote matrix in ``text``; the text is dropped once parsed, and each row's list once its bytes exist."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -248,18 +247,18 @@ def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteM
     del text
     try:
         k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
-        offsets = SpreadOffsets(_json_ints(obj["offsets"], "offsets"), k * d)
+        offsets = SpreadOffsets(tuple(_json_ints(obj["offsets"], "offsets")), k * d)
         n_classes = _json_int(obj["n_classes"], "n_classes")
         rows = list(obj.pop("votes"))  # the only reference to each row's list
-        for t, row in enumerate(rows):
-            rows[t] = _json_ints(row, "votes")
-        votes = tuple(rows)
+        for row in rows:
+            _json_ints(row, "votes")
         raw_labels = obj.get("labels")
-        labels = _json_ints(raw_labels, "labels") if raw_labels is not None else None
+        labels = tuple(_json_ints(raw_labels, "labels")) if raw_labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"vote-matrix JSON missing or malformed field: {exc}") from exc
     config = AggregationConfig(k=k, d=d, n_classes=n_classes)
-    return VoteMatrix(votes, config, offsets, labels)
+    rows.reverse()  # popped from the end, so each list is dropped once VoteMatrix has packed it
+    return VoteMatrix((rows.pop() for _ in range(len(rows))), config, offsets, labels)
 
 
 def load_votes(path: str | Path) -> VoteMatrix:
@@ -363,10 +362,11 @@ def _matrix_from_args(args) -> VoteMatrix:
         raise LimitError(f"the per-class statistics of {config.kd} partitions do not fit in memory")
     # rebound, so the partition statistics are freed before the models vote
     stats = arrays.classifier_statistics(stats, offsets)
-    if kind == MAJORITY_LABEL:  # every test row gets the same votes: one row, shared
-        votes = (tuple(stats.counts.argmax(axis=1).tolist()),) * len(features)
+    if kind == MAJORITY_LABEL:  # every test row gets the same votes: one row, packed once and shared
+        width = byte_width(config.n_classes - 1, "class indices")
+        votes = (pack(stats.counts.argmax(axis=1).tolist(), width),) * len(features)
     else:
-        votes = tuple(map(tuple, arrays.centroid_votes(stats, features)))
+        votes = arrays.centroid_votes(stats, features)
     matrix = VoteMatrix(votes, config, offsets, labels)
     del stats, votes, rows, features  # freed before the matrix is written or certified
     if args.save_votes:
@@ -516,8 +516,8 @@ def cmd_oracle_check(args) -> int:
     matrix = _matrix_from_args(args)
     if matrix.n_test == 0:
         raise EmptyTestSet()
-    report = verify_certificates(matrix.votes, matrix.offsets, matrix.config.n_classes, matrix.labels,
-                                 args.oracle_limit)
+    report = verify_certificates([unpack(row, matrix.config.kd) for row in matrix.votes], matrix.offsets,
+                                 matrix.config.n_classes, matrix.labels, args.oracle_limit)
     obj = {
         "command": "oracle-check",
         "n_test": matrix.n_test,

@@ -15,20 +15,22 @@ trainer are the readable reference in ``finiagg.reference``; ``arrays``
 votes by the same rules.
 
 The vote matrix is the sole input to every certificate downstream: row t
-holds the ``kd`` class votes for test input t, one per base classifier.
-Votes are kept as a dense table (not per-class counts) because the
-certificates need per-partition counts, which require knowing which
-classifier cast each vote. The ensemble predicts by majority vote, ties to
-the smaller class index (``aggregate_prediction``).
+packs the ``kd`` class votes for test input t, one per base classifier, in
+one ``bytes``, each vote as wide as ``n_classes`` needs (``pack``). Votes
+are a dense table, not per-class counts, because the certificates need
+per-partition counts, which require knowing which classifier cast each
+vote. The ensemble predicts by majority vote, ties to the smaller class
+index (``aggregate_prediction``).
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
 from .errors import (
-    DataError, DimensionMismatch, LabelOutOfRange, NegativeFeature, RaggedRow, RowError, UnknownLearnerKind,
+    DataError, DimensionMismatch, LabelOutOfRange, LimitError, NegativeFeature, RaggedRow, RowError, UnknownLearnerKind
 )
 from .hashing import SpreadOffsets
 
@@ -125,12 +127,35 @@ class LearnerSpec(namedtuple("LearnerSpec", "kind")):
         return super().__new__(cls, kind)
 
 
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's unsigned formats, by size in bytes
+
+
+def byte_width(bound: int, what: str) -> int:
+    """Fewest bytes, of 1, 2, 4 and 8, that hold every value in ``[0, bound]``."""
+    for width in _FORMATS:
+        if bound >> 8 * width == 0:
+            return width
+    raise LimitError(f"{what} up to {bound} do not fit in a 64-bit integer")
+
+
+def pack(values: Sequence[int], width: int) -> bytes:
+    """``values`` as ``width``-byte little-endian unsigned ints; one out of range raises ValueError or struct.error."""
+    if width == 1 and type(values) in (list, tuple, bytes):  # not an array: bytes() would copy its buffer
+        return bytes(values)
+    return struct.pack(f"<{len(values)}{_FORMATS[width]}", *values)
+
+
+def unpack(data: bytes, count: int) -> Sequence[int]:
+    """The ``count`` ints ``pack`` packed in ``data``: the bytes themselves at one byte each, else a tuple."""
+    return data if len(data) == count else struct.unpack(f"<{count}{_FORMATS[len(data) // count]}", data)
+
+
 class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
-    """n_test x kd class votes plus the metadata needed to certify them."""
+    """n_test x kd class votes, one ``pack``ed ``bytes`` per row, plus the metadata to certify them; read once."""
 
     __slots__ = ()
 
-    def __new__(cls, votes: tuple[tuple[int, ...], ...], config: AggregationConfig,
+    def __new__(cls, votes: Iterable[bytes | Sequence[int]], config: AggregationConfig,
                 offsets: SpreadOffsets, labels: tuple[int, ...] | None = None):
         kd = config.kd
         if offsets.kd != kd:
@@ -138,23 +163,40 @@ class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
         if offsets.d != config.d:
             raise DataError(f"{offsets.d} offsets for spread degree d={config.d}")
         n_classes = config.n_classes
+        width = byte_width(n_classes - 1, "class indices")  # refused before any row is read
+        allowed = bytes(range(min(n_classes, 256)))  # translate deletes them all from a 1-byte row in range
+        rows = []
         for t, row in enumerate(votes):
-            if len(row) != kd:
-                raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
-            if min(row) < 0 or max(row) >= n_classes:
-                v = next(v for v in row if v < 0 or v >= n_classes)
-                raise DataError(f"vote row {t}: class {v} outside [0, {n_classes})")
+            if type(row) is not bytes:  # else taken as packed
+                if len(row) != kd:
+                    raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
+                try:
+                    row = pack(row, width)
+                except (ValueError, struct.error):  # a vote outside [0, 2^(8 width)), or not an int
+                    _check_classes(f"vote row {t}: class", row, n_classes)
+                    raise
+            elif len(row) != kd * width:
+                raise DimensionMismatch(f"vote row {t} has {len(row)} bytes, expected {kd * width}")
+            if row.translate(None, allowed) if width == 1 else max(unpack(row, kd)) >= n_classes:
+                _check_classes(f"vote row {t}: class", unpack(row, kd), n_classes)
+            rows.append(row)
         if labels is not None:
-            if len(labels) != len(votes):
-                raise DimensionMismatch(f"{len(labels)} labels for {len(votes)} vote rows")
+            if len(labels) != len(rows):
+                raise DimensionMismatch(f"{len(labels)} labels for {len(rows)} vote rows")
             for t, lab in enumerate(labels):
-                if lab < 0 or lab >= n_classes:
-                    raise DataError(f"label {t}: class {lab} outside [0, {n_classes})")
-        return super().__new__(cls, votes, config, offsets, labels)
+                _check_classes(f"label {t}: class", (lab,), n_classes)
+        return super().__new__(cls, tuple(rows), config, offsets, labels)
 
     @property
     def n_test(self) -> int:
         return len(self.votes)
+
+
+def _check_classes(what: str, classes: Iterable[int], n_classes: int) -> None:
+    """Raise a ``DataError`` that names the first class outside ``[0, n_classes)``."""
+    for c in classes:
+        if not 0 <= c < n_classes:
+            raise DataError(f"{what} {c} outside [0, {n_classes})")
 
 
 def argmax(scores: Sequence) -> int:

@@ -27,7 +27,7 @@ from collections import namedtuple
 from typing import Sequence
 
 from .certifier import _vote_losses
-from .datamodel import aggregate_prediction
+from .datamodel import aggregate_prediction, byte_width, pack
 from .errors import InstanceTooLarge
 from .hashing import SpreadOffsets, spread
 
@@ -162,13 +162,14 @@ def verify_certificates(
     with d=1 the fine-grained certificate must also equal the plain
     disjoint-partition radius on the same votes. The per-row gap records
     certificate slack (0 means tight). Both certificates come from the
-    row's ``_vote_losses`` and the exact radius from
-    ``branch_and_bound_radius``.
+    row's ``_vote_losses``, on the row packed as ``VoteMatrix`` packs it,
+    and the exact radius from ``branch_and_bound_radius`` on its ints.
     """
+    width = byte_width(n_classes - 1, "class indices")
     verified = []
     for t, row in enumerate(rows):
         label = labels[t] if labels is not None else None
-        cert = _vote_losses(row, offsets, n_classes).certificate(label)
+        cert = _vote_losses(pack(row, width), offsets, n_classes).certificate(label)
         fa = cert.fa_radius
         exact = branch_and_bound_radius(row, offsets, n_classes, label, limit)
         dpa = cert.dpa_radius if offsets.d == 1 else None

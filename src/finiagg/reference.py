@@ -19,10 +19,10 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from . import certifier
-from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size, _width
+from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size
 from .datamodel import (
     MAJORITY_LABEL, NEAREST_CENTROID, AggregationConfig, Dataset, LabeledSample, LearnerSpec, VoteMatrix,
-    aggregate_prediction, argmax,
+    aggregate_prediction, argmax, byte_width, pack, unpack,
 )
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
 from .hashing import SpreadOffsets, spread
@@ -147,7 +147,7 @@ def dpa_baseline_radius(table: MarginTable, label: int | None = None) -> int:
 
 def margin_tables(matrix: VoteMatrix) -> list[MarginTable]:
     n_classes = matrix.config.n_classes
-    return [margin_table(row, matrix.offsets, n_classes) for row in matrix.votes]
+    return [margin_table(unpack(row, matrix.config.kd), matrix.offsets, n_classes) for row in matrix.votes]
 
 
 class MajorityLabelModel(namedtuple("MajorityLabelModel", "n_classes label_counts")):
@@ -358,10 +358,10 @@ def _certified_accuracy(tables: Sequence[MarginTable], radii: Sequence[int], q_s
 def _row_losses_of(table: MarginTable) -> RowLosses:
     """The table's losses packed as ``certifier._vote_losses`` packs them, every other class a challenger."""
     c, d = table.prediction, table.d
-    lane = _width(2 * d, "margin losses")
+    lane = byte_width(2 * d, "margin losses")
     a_c = table.partition_counts[c]
     losses = {
-        q: b"".join((d + x - y).to_bytes(lane, "little") for x, y in zip(a_c, a_q))
+        q: pack([d + x - y for x, y in zip(a_c, a_q)], lane)
         for q, a_q in enumerate(table.partition_counts) if q != c
     }
     return RowLosses(c, table.kd, d, table.n_classes, dict(enumerate(table.global_counts)), losses.__getitem__)

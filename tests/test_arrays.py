@@ -86,20 +86,25 @@ def _reference(train_rows, test_inputs, width, k, d, seed, learner, n_classes):
     return collect_votes(models, test_inputs, config, offsets).votes, models
 
 
+def _centroid_bound_args(train_rows, test_inputs, width, models):
+    """``arrays._centroid_dtype``'s arguments: the largest class count of any reference model, the
+    largest training or test cell M, and the feature count F."""
+    max_cell = max(v for rows in ([row[1:] for row in train_rows], test_inputs) for row in rows for v in row)
+    return max(max(m.class_counts) for m in models), max_cell, width
+
+
 def _int64_guards(learner, train_rows, test_inputs, width, models):
     """What the front end must keep below 2^63, as (value, its power of a common feature scale).
 
     Computed from the reference models: every row and partition sum is at most
     ``max(n_rows, F) * max cell``, and the centroid tournament's products at
-    most ``(max n * max(x, s))^2 * F * (max n)^2``.
+    most ``F * (max n * M)^2 * (max n)^2``, ``arrays._centroid_dtype``'s bound.
     """
     max_cell = max((v for row in train_rows for v in row[1:]), default=0)
     guards = [(max(len(train_rows), width) * max_cell, 1)]
     if learner == "centroid" and train_rows:
-        max_n = max(max(m.class_counts) for m in models)
-        max_s = max(v for m in models for sums in m.class_sums for v in sums)
-        max_x = max(v for x in test_inputs for v in x)
-        guards.append(((max_n * max(max_x, max_s)) ** 2 * width * max_n**2, 2))
+        max_n, m, f = _centroid_bound_args(train_rows, test_inputs, width, models)
+        guards.append((f * (max_n * m) ** 2 * max_n**2, 2))
     return guards
 
 
@@ -161,6 +166,10 @@ def test_front_end_votes_equal_the_reference(case):
         assert fits
     if side == "past" and any(v for row in train_rows for v in row[1:]):
         assert not fits
+    if side in ("below", "past") and learner == "centroid" and train_rows:
+        args = _centroid_bound_args(train_rows, test_inputs, width, models)
+        if side == "below" or args[1]:  # a past side without a nonzero cell was not scaled
+            assert arrays._centroid_dtype(*args) is (np.int64 if side == "below" else object)
     got, took_csv_reader = _cli_votes(train_rows, test_inputs, width, k, d, seed, learner, n_classes)
     assert got == want
     assert took_csv_reader == any(v >= LIMIT for row in train_rows for v in row[1:])

@@ -595,6 +595,26 @@ def test_reference_commands_exit_three_when_classes_cannot_be_tabulated(
         assert capsys.readouterr() == expected, argv
 
 
+@pytest.mark.parametrize("command", ["certify", "curve", "compare", "cert-acc", "oracle-check"])
+def test_vote_files_past_8_byte_class_indices_exit_three(tmp_path, capsys, command):
+    n_classes = 2**64 + 1
+    votes = _wide_votes(tmp_path / "votes.json", n_classes)
+    assert _run(command, "--votes", votes) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"class indices up to {n_classes - 1} do not fit in a 64-bit integer"
+    assert err == json.dumps({"error": "LimitError", "message": message, "exit_code": 3}) + "\n"
+
+
+@pytest.mark.parametrize("learner", ["centroid", "majority"])
+def test_dataset_runs_past_8_byte_class_indices_save_no_votes(tmp_path, train_file, test_file, learner, capsys):
+    saved = tmp_path / "saved.json"
+    assert _run("certify", "--dataset", train_file, "--test", test_file, "--k", 2, "--learner", learner,
+                "--n-classes", 2**64 + 1, "--save-votes", saved) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LimitError"
+    assert not saved.exists()
+
+
 def test_certify_counts_only_classes_with_votes(tmp_path):
     reports = []
     for n_classes in (2**40, 7):  # 7 = largest vote + 2
@@ -878,7 +898,7 @@ def test_empty_training_csv_with_n_classes_votes_class_zero(tmp_path, test_file)
         assert _run("curve", "--dataset", train, "--test", test_file, "--k", 3, "--d", 2,
                     "--n-classes", 3, "--learner", learner, "--save-votes", votes,
                     "--out", tmp_path / "c.csv") == 0
-        assert votes_from_json(votes.read_text(encoding="utf-8")).votes == ((0,) * 6,) * 3
+        assert votes_from_json(votes.read_text(encoding="utf-8")).votes == (bytes(6),) * 3
 
 
 def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_file, capsys):

@@ -2,22 +2,14 @@
 
 import itertools
 import random
-import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
-from finiagg.certifier import (
-    _FORMATS,
-    _histogram_radius,
-    _lanes,
-    _vote_losses,
-    _width,
-    certified_fraction_curve,
-    certify_matrix,
-)
+from finiagg.certifier import _histogram_radius, _vote_losses, certified_fraction_curve, certify_matrix
+from finiagg.datamodel import byte_width, pack, unpack
 from finiagg.errors import DataError, LimitError
 from finiagg.reference import _scan_radius, margin_table
 
@@ -91,11 +83,11 @@ def test_histogram_radius_is_at_least_the_baseline():
 
 
 class _CountedLanes:
-    """Packed losses read back by ``_lanes`` that record each value ``count`` is asked for."""
+    """Packed losses read back by ``unpack`` that record each value ``count`` is asked for."""
 
     def __init__(self, losses, d):
-        width = _width(2 * d, "losses")
-        self.lanes = _lanes(struct.pack(f"<{len(losses)}{_FORMATS[width]}", *losses), d)
+        width = byte_width(2 * d, "losses")
+        self.lanes = unpack(pack(losses, width), len(losses))
         self.counted = []
 
     def __len__(self):
@@ -140,7 +132,7 @@ def test_pruned_certificates_match_reference_with_evenly_matched_challengers():
         labels = tuple(max(range(n_classes), key=row.count) for row in rows)
         matrix = VoteMatrix(tuple(rows), AggregationConfig(k=k, d=d, n_classes=n_classes), offsets, labels)
         _assert_matches_reference(matrix)
-        for votes, label in zip(rows, labels):
+        for votes, label in zip(matrix.votes, labels):
             row = _vote_losses(votes, offsets, n_classes)
             row.certificate(label)
             assert sorted(row._losses) == sorted(row.challengers())  # every challenger was read
@@ -155,7 +147,7 @@ def test_certificate_stops_at_the_first_challenger_whose_bound_reaches_the_radiu
         offsets = SpreadOffsets(tuple(rng.sample(range(kd), d)), kd)
         favourite, share = rng.randrange(n_classes), rng.random()
         votes = tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
-        row, table = _vote_losses(votes, offsets, n_classes), margin_table(votes, offsets, n_classes)
+        row, table = _vote_losses(pack(votes, 1), offsets, n_classes), margin_table(votes, offsets, n_classes)
         cert = row.certificate(row.prediction)
         want, fine = [], kd
         for rhs, q in sorted((row.rhs(q), q) for q in row.challengers()):

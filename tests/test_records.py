@@ -27,6 +27,7 @@ from finiagg.errors import (
     DataError,
     DimensionMismatch,
     LabelOutOfRange,
+    LimitError,
     NegativeFeature,
     RaggedRow,
     UnknownLearnerKind,
@@ -48,7 +49,7 @@ RECORDS = [
     (lambda: AggregationConfig(k=2, d=3, n_classes=4), "AggregationConfig(k=2, d=3, n_classes=4)", "k"),
     (lambda: SpreadOffsets((4, 1), 6), "SpreadOffsets(offsets=(1, 4), kd=6)", "offsets"),
     (lambda: VoteMatrix(((1, 0),), AggregationConfig(2, 1, 2), SpreadOffsets((1,), 2)),
-     "VoteMatrix(votes=((1, 0),), config=AggregationConfig(k=2, d=1, n_classes=2), "
+     "VoteMatrix(votes=(b'\\x01\\x00',), config=AggregationConfig(k=2, d=1, n_classes=2), "
      "offsets=SpreadOffsets(offsets=(1,), kd=2), labels=None)", "labels"),
     (lambda: ENSEMBLE, "EnsembleStats(clean_accuracy=Fraction(1, 1), base_accuracy=Fraction(5, 6))",
      "base_accuracy"),
@@ -177,6 +178,27 @@ def test_vote_matrix_validation(args, error, message):
     with pytest.raises(error) as err:
         VoteMatrix(*args)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_vote_matrix_packs_array_rows_by_value():
+    """NumPy int64 rows pack their values at the matrix's width, never their 8-byte buffer."""
+    for n_classes, packed in ((3, (b"\1\0", b"\2\2")), (300, (b"\1\0\0\0", b"\2\0\2\0"))):
+        config = AggregationConfig(2, 1, n_classes)
+        matrix = VoteMatrix(np.array([[1, 0], [2, 2]], np.int64), config, OFFSETS)
+        assert matrix.votes == packed
+        assert matrix == VoteMatrix(((1, 0), (2, 2)), config, OFFSETS) == VoteMatrix(packed, config, OFFSETS)
+
+
+def test_vote_matrix_refuses_classes_past_8_bytes_before_reading_a_row():
+    def unread():
+        raise AssertionError("a vote row was read")
+        yield
+
+    with pytest.raises(LimitError) as err:
+        VoteMatrix(unread(), AggregationConfig(2, 1, 2**64 + 1), OFFSETS)
+    assert str(err.value) == f"class indices up to {2**64} do not fit in a 64-bit integer"
+    top = VoteMatrix(((0, 2**64 - 1),), AggregationConfig(2, 1, 2**64), OFFSETS)  # the most 8 bytes hold
+    assert top.votes == (bytes(8) + b"\xff" * 8,)
 
 
 def test_vote_matrix_takes_keywords():

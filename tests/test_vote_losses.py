@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
 from finiagg.certifier import _certified_accuracy, _vote_losses
+from finiagg.cli import votes_from_json, votes_to_json
+from finiagg.datamodel import unpack
 from finiagg.hashing import spread
 from finiagg.reference import conditional_certified, dpa_baseline_radius, fa_radius, margin_table
 
@@ -14,12 +16,15 @@ from finiagg.reference import conditional_certified, dpa_baseline_radius, fa_rad
 def _assert_matches(matrix: VoteMatrix, tables: bool = True) -> None:
     """Each row's prediction, challengers, vote counts and per-partition losses equal its margin table's; with
     ``tables``, every class's losses, over every partition and over one random scope, and the
-    certificate do too. Without, the table's counts are taken over the classes with votes only."""
+    certificate do too. Without, the table's counts are taken over the classes with votes only. The
+    matrix's vote JSON reads back as an equal matrix that writes the same text."""
     offsets, n_classes, kd, d = matrix.offsets, matrix.config.n_classes, matrix.config.kd, matrix.config.d
+    text = votes_to_json(matrix)
+    assert votes_from_json(text) == matrix and votes_to_json(votes_from_json(text)) == text
     labels = matrix.labels or (None,) * matrix.n_test
     rng = random.Random(len(matrix.votes))
-    for votes, label in zip(matrix.votes, labels):
-        row = _vote_losses(votes, offsets, n_classes)
+    for packed, label in zip(matrix.votes, labels):
+        row, votes = _vote_losses(packed, offsets, n_classes), unpack(packed, kd)
         if tables:
             table = margin_table(votes, offsets, n_classes)
             counts, per_part = dict(enumerate(table.global_counts)), dict(enumerate(table.partition_counts))
@@ -100,10 +105,14 @@ def test_vote_losses_match_with_more_than_256_voted_classes():
 
 
 def test_vote_losses_match_on_both_sides_of_one_byte_classes():
-    """Votes of class 255 pack as themselves; one vote of class 256 sends the row to class numbers."""
+    """Votes of class 255 fit one byte and of class 256 two; each vote width, 1, 2, 4 and 8 bytes,
+    from the smallest class count that needs it, and the largest 8 bytes hold."""
     rng = random.Random(255)
     for voted in ((0, 255), (1, 254, 255), (3, 256), (255, 256, 257)):
         _assert_matches(_many_classes(rng, 20, 2, 300, voted))
+    for n_classes in (2, 257, 65_537, 2**32 + 1, 2**64):
+        voted = sorted({0, 1, n_classes // 2, n_classes - 1})
+        _assert_matches(_many_classes(rng, 20, 2, n_classes, voted), tables=n_classes < 300)
 
 
 def test_vote_losses_match_at_paper_scale():
