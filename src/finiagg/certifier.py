@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
 from .datamodel import VoteMatrix, argmax, byte_width, pack, unpack
@@ -49,6 +49,7 @@ from .errors import (
 from .hashing import SpreadOffsets
 
 ENUMERATION_CAP = 10**6  # the most shared poison sets Q that cert-acc scores by default
+_BYTES = bytes(range(256))  # every 1-byte vote
 
 
 class SampleCertificate(namedtuple("SampleCertificate", "predicted correct dpa_radius fa_radius")):
@@ -139,13 +140,16 @@ def _vote_losses(votes: bytes, offsets: SpreadOffsets, n_classes: int) -> RowLos
     """One packed vote row's prediction, vote counts and challengers' losses, without NumPy.
 
     The row is read as ``VoteMatrix`` holds it: ``kd`` votes of ``code``
-    bytes each. Plane b holds byte b of every vote, and a class's one-hot is
-    the AND, over the planes, of ``bytes.translate`` marking the class's
-    byte b; its vote count is the one-hot's ``bit_count``. Challenger q's
-    losses are one Python int with a ``w``-byte lane per partition:
-    ``1 + hot[c] - hot[q]`` is 0, 1 or 2 per classifier, and its rotations
-    by each offset sum to ``d + a[c] - a[q]``. No lane carries or borrows,
-    since a loss is at most 2d.
+    bytes each. A 1-byte row is read in C: its classes are the bytes that
+    ``_BYTES.translate(None, votes)`` deletes, each counted by ``votes.count``.
+    A wider row's come from ``unpack``, each counted by its one-hot's
+    ``bit_count``. A class's one-hot is the AND, over the planes (byte b of
+    every vote), of ``bytes.translate`` marking its byte b; a 1-byte row
+    builds one only for the prediction and the challengers whose losses are
+    computed. Challenger q's losses are one Python int with a ``w``-byte lane
+    per partition: ``1 + hot[c] - hot[q]`` is 0, 1 or 2 per classifier, and
+    its rotations by each offset sum to ``d + a[c] - a[q]``. No lane carries
+    or borrows, since a loss is at most 2d.
     """
     kd, d = offsets.kd, offsets.d
     lane = byte_width(2 * d, "margin losses")
@@ -160,14 +164,13 @@ def _vote_losses(votes: bytes, offsets: SpreadOffsets, n_classes: int) -> RowLos
             hot &= int.from_bytes(plane.translate(mark), "little")
         return hot
 
-    hots = {q: one_hot(q) for q in sorted(set(unpack(votes, kd)))}
-    counts = {q: hot.bit_count() for q, hot in hots.items()}
-    classes = list(counts)
+    classes = _BYTES.translate(None, _BYTES.translate(None, votes)) if code == 1 else sorted(set(unpack(votes, kd)))
+    counts = {q: votes.count(q) if code == 1 else one_hot(q).bit_count() for q in classes}
     c = classes[argmax(list(counts.values()))]
     absent = next((i for i, q in enumerate(classes) if q != i), len(classes))
     if absent < n_classes:
         counts[absent] = 0
-    ahead = hots[c] + int.from_bytes(b"\1" * kd, "little")  # 1 + hot[c]
+    ahead = one_hot(c) + int.from_bytes(b"\1" * kd, "little")  # 1 + hot[c]
     bits = 8 * lane * kd
 
     def pack_losses(q: int) -> bytes:
@@ -240,8 +243,7 @@ def certified_fraction_curve(radii: Sequence[int], max_attack_size: int) -> tupl
     for r in radii:
         if r >= 0:
             at_least[min(r, max_attack_size)] += 1
-    for m in range(max_attack_size - 1, -1, -1):
-        at_least[m] += at_least[m + 1]
+    at_least[::-1] = accumulate(reversed(at_least))  # suffix sums: at_least[m] counts the radii >= m
     steps = {hits: Fraction(hits, n) for hits in set(at_least)}
     return tuple(map(steps.__getitem__, at_least))
 

@@ -24,9 +24,12 @@ and as advisory floats. Exit codes: 0 success, 1 usage, 2 data error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
+import functools
 import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -59,6 +62,7 @@ _LEARNER_ALIASES = {"majority": MAJORITY_LABEL, "centroid": NEAREST_CENTROID}
 
 
 _INT_CELL = re.compile(r"[+-]?[0-9]+")
+_CURVE_CHUNK = 1024  # the most curve points in one text, so a long run's text stays small
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,10 +233,14 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _json_ints(values, field: str):  # values themselves, not a copy
-    if not set(map(type, values)) <= {int}:
-        for v in values:  # only on failure: name the first offending value
-            _json_int(v, field)
+def _json_ints(values, field: str, bools: bool):  # values themselves, not a copy
+    try:  # without true or false in the text no value is a bool, so an int sum proves them all ints, in C
+        if set(map(type, values)) <= {int} if bools else type(sum(values)) is int:
+            return values
+    except (TypeError, OverflowError):  # a str, None, list or dict; or a float and an int too large for one
+        pass
+    for v in values:  # only on failure: name the first offending value
+        _json_int(v, field)
     return values
 
 
@@ -244,16 +252,17 @@ def votes_from_json(text: str, source: str | Path = "vote-matrix JSON") -> VoteM
         raise DataError(f"invalid vote-matrix JSON: {exc}") from exc
     except ValueError:  # json, like int(), refuses past sys.get_int_max_str_digits()
         raise LimitError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    bools = "true" in text or "false" in text
     del text
     try:
         k, d = _json_int(obj["k"], "k"), _json_int(obj["d"], "d")
-        offsets = SpreadOffsets(tuple(_json_ints(obj["offsets"], "offsets")), k * d)
+        offsets = SpreadOffsets(tuple(_json_ints(obj["offsets"], "offsets", bools)), k * d)
         n_classes = _json_int(obj["n_classes"], "n_classes")
         rows = list(obj.pop("votes"))  # the only reference to each row's list
         for row in rows:
-            _json_ints(row, "votes")
+            _json_ints(row, "votes", bools)
         raw_labels = obj.get("labels")
-        labels = tuple(_json_ints(raw_labels, "labels")) if raw_labels is not None else None
+        labels = tuple(_json_ints(raw_labels, "labels", bools)) if raw_labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"vote-matrix JSON missing or malformed field: {exc}") from exc
     config = AggregationConfig(k=k, d=d, n_classes=n_classes)
@@ -308,23 +317,28 @@ def _write_json(path: str | None, obj) -> None:
     _write(path, dump)
 
 
-def _by_step(curve: Sequence[Fraction], encode):
-    """Yield ``(m, encode(curve[m]))``, calling ``encode`` once per run of one ``Fraction`` object."""
-    step = text = None
-    for m, frac in enumerate(curve):
-        if frac is not step:
-            step, text = frac, encode(frac)
-        yield m, text
+def _by_step(curve: Sequence[Fraction], encode, between: str = ""):
+    """Yield the texts of the points m, ``head + str(m) + tail`` for ``head, tail = encode(curve[m])``, joined
+    by ``between``: ``encode`` once per run of one ``Fraction``, and one ``join`` per ``_CURVE_CHUNK`` points.
+    The curve is ``certified_fraction_curve``'s: non-increasing, one object per fraction, so each run is
+    one bisection on identity."""
+    m = 0
+    while m < len(curve):
+        end = bisect.bisect(curve, False, m, key=functools.partial(operator.is_not, curve[m]))
+        head, tail = encode(curve[m])
+        for start in range(m, end, _CURVE_CHUNK):  # repr of an int is its str, and faster to call
+            yield head + (tail + between + head).join(map(repr, range(start, min(start + _CURVE_CHUNK, end)))) + tail
+        m = end
 
 
 def curve_csv(curve: Sequence[Fraction]) -> str:
-    rows = (f"{m},{value}\n" for m, value in _by_step(curve, lambda frac: repr(float(frac))))
-    return "attack_size,certified_fraction\n" + "".join(rows)
+    return "attack_size,certified_fraction\n" + "".join(_by_step(curve, lambda frac: ("", f",{float(frac)!r}\n")))
 
 
-def _curve_fraction(frac: Fraction) -> str:
-    """A certify report curve point's ``certified_fraction``, as ``json.dump(indent=2)`` writes it."""
-    return json.dumps(_frac(frac), indent=2).replace("\n", "\n      ")
+def _curve_point(frac: Fraction) -> tuple[str, str]:
+    """A certify report curve point's text before and after its attack size, as ``json.dump(indent=2)`` writes it."""
+    fraction = json.dumps(_frac(frac), indent=2).replace("\n", "\n      ")
+    return '{\n      "attack_size": ', f',\n      "certified_fraction": {fraction}\n    }}'
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +471,7 @@ def cmd_certify(args) -> int:
             out.write("\n  ]")
 
         out.write(head)
-        entry("curve", (f'{{\n      "attack_size": {m},\n      "certified_fraction": {text}\n    }}'
-                        for m, text in _by_step(report.curve, _curve_fraction)))
+        entry("curve", _by_step(report.curve, _curve_point, ",\n    "))
         if deltas is not None:
             entry("delta_multisets", deltas)
         out.write("\n}\n")

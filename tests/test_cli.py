@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import finiagg.cli
 from finiagg.cli import (
     main,
     read_dataset_csv,
@@ -795,6 +796,37 @@ def test_vote_file_errors_name_the_first_bad_value(tmp_path, votes, message, cap
     path.write_text(json.dumps({**VOTES, "labels": None, "votes": votes}), encoding="utf-8")
     assert _run("certify", "--votes", path) == 2
     assert json.loads(capsys.readouterr().err)["message"] == message
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("true", "True"), ("false", "False"), ("1.0", "1.0"), ("-0.0", "-0.0"), ("1e400", "inf"),
+     ("NaN", "nan"), ("Infinity", "inf"), ('"3"', "'3'"), ("null", "None"), ("[]", "[]"), ("{}", "{}"),
+     (f"{10**400}, 2.5", "2.5")],  # the int is too large to add to the float
+)
+def test_a_later_rows_type_error_comes_before_an_earlier_rows_length_error(tmp_path, capsys, token, value):
+    path = tmp_path / "votes.json"
+    path.write_text('{"k": 2, "d": 1, "offsets": [1], "n_classes": 2, "votes": [[1, 1, 1], [0, %s]]}' % token,
+                    encoding="utf-8")
+    assert _run("certify", "--votes", path) == 2
+    message = f"vote-matrix JSON field 'votes': {value} is not an integer"
+    assert capsys.readouterr() == ("", json.dumps({"error": "DataError", "message": message, "exit_code": 2}) + "\n")
+
+
+@pytest.mark.parametrize("extra", ['"true": 0', '"note": "false"'])
+def test_a_vote_file_whose_text_holds_true_checks_every_vote_and_writes_the_same_bytes(tmp_path, monkeypatch, extra):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    obj = {**VOTES, "labels": [1, 0], "votes": [[1, 1], [0, 1]]}
+    plain.write_text(json.dumps(obj), encoding="utf-8")
+    marked.write_text(json.dumps(obj)[:-1] + f", {extra}}}", encoding="utf-8")
+    seen = []
+    json_ints = finiagg.cli._json_ints
+    monkeypatch.setattr(finiagg.cli, "_json_ints", lambda *args: seen.append(args[2]) or json_ints(*args))
+    for votes, bools in ((plain, False), (marked, True)):
+        seen.clear()
+        assert _run("certify", "--votes", votes, "--out", votes.with_suffix(".out"), "--verbose") == 0
+        assert seen == [bools] * 4  # the offsets, two rows and the labels
+    assert plain.with_suffix(".out").read_bytes() == marked.with_suffix(".out").read_bytes()
 
 
 ROWS = "".join(f"{i % 3},{i % 7},{i % 5}\n" for i in range(1024))  # one block of the block reader

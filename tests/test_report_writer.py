@@ -10,9 +10,9 @@ import json
 import random
 
 import pytest
-from conftest import random_offsets, reference_certify_outputs
+from conftest import _frac, random_offsets, reference_certify_outputs
 
-from finiagg import cli
+from finiagg import certifier, cli
 from finiagg.certifier import certified_fraction_curve, certify_matrix
 from finiagg.cli import main, votes_from_json
 
@@ -147,3 +147,31 @@ def test_the_curve_holds_one_object_per_distinct_fraction():
         radii = [rng.randint(-1, 40) for _ in range(rng.randint(1, 12))]
         curve = certified_fraction_curve(radii, rng.randint(0, 50))
         assert len({id(f) for f in curve}) == len(set(curve))
+
+
+def _per_point_curve(curve) -> tuple[str, str]:
+    """The report's curve entry and the curve CSV as the per-point writer made them: one f-string per point."""
+    points, lines = [], []
+    for m, frac in enumerate(curve):
+        fraction = json.dumps(_frac(frac), indent=2).replace("\n", "\n      ")
+        points.append(f'{{\n      "attack_size": {m},\n      "certified_fraction": {fraction}\n    }}')
+        lines.append(f"{m},{float(frac)!r}\n")
+    entry = ',\n  "curve": [\n    ' + ",\n    ".join(points) + "\n  ]"
+    return entry, "attack_size,certified_fraction\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 2049])
+def test_the_curve_writer_writes_the_per_point_bytes(tmp_path, monkeypatch, size):
+    """Runs of every length around the 1,024-point chunks, from random radii put in place of the file's."""
+    rng = random.Random(size)
+    votes, _ = _vote_file(tmp_path, rng, 3, labelled=True)
+    report, csv = tmp_path / "report.json", tmp_path / "curve.csv"
+    for _ in range(6):
+        radii = [rng.choice([-1, size, rng.randint(0, size + 2)]) for _ in range(rng.randint(1, 6))]
+        monkeypatch.setattr(certifier, "certified_fraction_curve", lambda _, m: certified_fraction_curve(radii, m))
+        argv = ["certify", "--votes", str(votes), "--out", str(report), "--curve", str(csv)]
+        assert main(argv + ["--max-attack-size", str(size)]) == 0
+        entry, lines = _per_point_curve(certified_fraction_curve(radii, size))
+        text = report.read_text(encoding="utf-8")
+        assert text == text[: text.index(',\n  "curve": [')] + entry + "\n}\n"
+        assert csv.read_text(encoding="utf-8") == lines

@@ -5,7 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
+from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix, certifier
 from finiagg.certifier import _certified_accuracy, _vote_losses
 from finiagg.cli import votes_from_json, votes_to_json
 from finiagg.datamodel import unpack
@@ -106,13 +106,62 @@ def test_vote_losses_match_with_more_than_256_voted_classes():
 
 def test_vote_losses_match_on_both_sides_of_one_byte_classes():
     """Votes of class 255 fit one byte and of class 256 two; each vote width, 1, 2, 4 and 8 bytes,
-    from the smallest class count that needs it, and the largest 8 bytes hold."""
+    from the smallest class count that needs it, and the largest 8 bytes hold. The class sets of 1-byte
+    rows: class 0 absent, only class 255 of 256, all 256 present, and a single class."""
     rng = random.Random(255)
     for voted in ((0, 255), (1, 254, 255), (3, 256), (255, 256, 257)):
         _assert_matches(_many_classes(rng, 20, 2, 300, voted))
+    for k, n_classes, voted in ((20, 5, (1, 2, 4)), (20, 256, (255,)), (150, 256, range(256)), (20, 3, (1,)),
+                                (20, 1, (0,))):
+        _assert_matches(_many_classes(rng, k, 2, n_classes, voted))
     for n_classes in (2, 257, 65_537, 2**32 + 1, 2**64):
         voted = sorted({0, 1, n_classes // 2, n_classes - 1})
         _assert_matches(_many_classes(rng, 20, 2, n_classes, voted), tables=n_classes < 300)
+
+
+class _CountedBytes(bytes):
+    """A packed row, or the 1-byte alphabet, that records each class it is asked to ``count`` or to mark in a
+    ``translate`` table, and the bytes each ``translate`` without a table deletes."""
+
+    def __new__(cls, data, calls=None):
+        self = super().__new__(cls, data)
+        self.calls = [] if calls is None else calls
+        return self
+
+    def __getitem__(self, index):  # a plane of the row records its calls with the row's
+        item = super().__getitem__(index)
+        return _CountedBytes(item, self.calls) if isinstance(index, slice) else item
+
+    def count(self, value):
+        self.calls.append(("count", value))
+        return super().count(value)
+
+    def translate(self, table, delete=b""):
+        self.calls.append(("delete", bytes(delete)) if table is None else ("translate", table.index(1)))
+        return super().translate(table, delete)
+
+
+def test_one_byte_rows_count_in_c_and_build_one_hots_only_for_the_losses_computed(monkeypatch):
+    """The class set from the alphabet, deleting the row's classes and then the absent ones; one ``count`` per
+    class with votes; and a one-hot, one ``translate`` of the row, for the prediction and for each computed
+    challenger with votes."""
+    alphabet = _CountedBytes(range(256))
+    monkeypatch.setattr(certifier, "_BYTES", alphabet)
+    rng, one_hots = random.Random(6), 0
+    for k, d, n_classes in ((400, 8, 8), (100, 16, 10), (5, 2, 3), (130, 2, 256)):
+        matrix = _random_rows(rng, k, d, n_classes, 4)
+        for t, (packed, label) in enumerate(zip(matrix.votes, matrix.labels)):
+            alphabet.calls.clear()
+            votes = _CountedBytes(packed)
+            row = _vote_losses(votes, matrix.offsets, n_classes)
+            row.certificate(row.prediction if t % 2 else label)  # a mispredicted row computes no losses
+            present = sorted(set(packed))
+            assert alphabet.calls == [("delete", packed), ("delete", bytes(sorted(set(range(256)) - set(present))))]
+            assert votes.calls == [("count", q) for q in present] + [("translate", row.prediction)] + [
+                ("translate", q) for q in row._losses if row.counts[q]
+            ]
+            one_hots += len(votes.calls) - len(present) - 1
+    assert one_hots >= 8  # challengers' one-hots, not only the predictions'
 
 
 def test_vote_losses_match_at_paper_scale():
