@@ -94,10 +94,10 @@ class RowLosses:
 
     ``counts`` holds ``N_q`` of the prediction and of every challenger: the
     classes with votes and the smallest class without, which stands for the
-    rest. ``losses(q)`` packs partition j's loss ``d + a[c][j] - a[q][j]``
+    rest. ``pack_losses(q)`` packs partition j's loss ``d + a[c][j] - a[q][j]``
     into bytes ``[j * w, (j + 1) * w)``, little-endian, where ``w`` is the
-    fewest bytes that hold ``2d``; ``pack_losses`` computes them once per
-    challenger, and ``lanes(q)`` reads them back, one loss per partition.
+    fewest bytes that hold ``2d``; ``lanes(q)`` calls it once per challenger,
+    keeps the bytes in ``_losses`` and reads them back, one loss per partition.
     The fields and ``rhs`` and ``delta_elements`` are named as
     ``MarginTable``'s, so the reference rules read a row as they read its
     table.
@@ -118,13 +118,10 @@ class RowLosses:
         c = self.prediction
         return self.counts[c] - self.counts.get(challenger, 0) - (challenger < c)
 
-    def losses(self, challenger: int) -> bytes:
+    def lanes(self, challenger: int) -> Sequence[int]:
         if challenger not in self._losses:
             self._losses[challenger] = self.pack_losses(challenger)
-        return self._losses[challenger]
-
-    def lanes(self, challenger: int) -> Sequence[int]:
-        return unpack(self.losses(challenger), self.kd)
+        return unpack(self._losses[challenger], self.kd)
 
     def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
         if challenger not in self.counts:  # no votes: the losses of the class that stands for it
@@ -218,8 +215,6 @@ def certify_matrix(matrix: VoteMatrix, label_votes: list[int] | None = None) -> 
     row's votes for its label, from its vote counts, to ``label_votes``.
     """
     n_classes, labels = matrix.config.n_classes, matrix.labels
-    if n_classes > 2**63:  # the certifying commands' limit on class indices: a signed 64-bit integer
-        raise LimitError(f"class indices up to {n_classes - 1} do not fit in a 64-bit integer")
     certs = []
     for t, votes in enumerate(matrix.votes):
         row, label = _vote_losses(votes, matrix.offsets, n_classes), None if labels is None else labels[t]

@@ -25,6 +25,7 @@ that identical ``(k, d, seed)`` inputs yield bit-identical layouts anywhere:
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import Iterator
 
 from .errors import DataError, DTooLarge, LimitError, UsageError
 
@@ -32,27 +33,17 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_INC = 0x9E3779B97F4A7C15
 
 
-class _XorShift64Star:
-    """Deterministic 64-bit generator; see the module docstring for constants."""
-
-    def __init__(self, seed: int):
-        s = (seed + _SPLITMIX_INC) & _MASK64
-        z = s
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        self._state = z or _SPLITMIX_INC
-
-    def next_u64(self) -> int:
-        x = self._state
+def _xorshift64star(seed: int) -> Iterator[int]:
+    """Deterministic 64-bit draws; see the module docstring for constants."""
+    z = (seed + _SPLITMIX_INC) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = z ^ (z >> 31) or _SPLITMIX_INC
+    while True:
         x ^= (x << 12) & _MASK64
         x ^= x >> 25
         x ^= (x << 27) & _MASK64
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def below(self, n: int) -> int:
-        return self.next_u64() % n
+        yield (x * 0x2545F4914F6CDD1D) & _MASK64
 
 
 class SpreadOffsets(namedtuple("SpreadOffsets", "offsets kd")):
@@ -95,9 +86,9 @@ def generate_offsets(
         raise LimitError(f"the {kd} partitions do not fit in memory") from None
     if dpa_compatible:
         return SpreadOffsets((0,), kd)
-    rng = _XorShift64Star(seed)
+    draws = _xorshift64star(seed)
     for t in range(d):
-        swap = t + rng.below(kd - t)
+        swap = t + next(draws) % (kd - t)
         pool[t], pool[swap] = pool[swap], pool[t]
     return SpreadOffsets(tuple(pool[:d]), kd)
 

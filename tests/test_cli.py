@@ -555,15 +555,19 @@ def test_wide_class_indices_certify_like_the_reference(tmp_path):
     assert [c["predicted"] for c in certs] == [69_999, 65_536, 5, 1]
 
 
-def test_class_indices_beyond_64_bits_exit_three(tmp_path, capsys):
+def test_class_indices_past_a_signed_64_bit_integer_certify(tmp_path, capsys):
+    # 8-byte votes are the one class limit (2^64); a vote for class 2^63 ties with class 0
     votes = tmp_path / "votes.json"
     n_classes = 2**63 + 1
     obj = {"k": 2, "d": 1, "offsets": [0], "n_classes": n_classes, "votes": [[0, n_classes - 1]]}
     votes.write_text(json.dumps(obj), encoding="utf-8")
-    assert _run("certify", "--votes", votes) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "LimitError"
+    assert _run("certify", "--votes", votes) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["n_classes"] == n_classes
+    assert report["certificates"] == [{"predicted": 0, "correct": None, "fa_radius": 0, "dpa_radius": 0}]
+    assert [p["certified_fraction"]["exact"] for p in report["curve"]] == ["1/1", "0/1", "0/1"]
 
 
 # votes stay small, so only a table over every class, not the votes, is too big
@@ -704,6 +708,25 @@ def test_the_cli_loads_eight_package_modules():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(sorted(["finiagg", *(f"finiagg.{m}" for m in (
         "cli", "certifier", "datamodel", "errors", "hashing", "oracle", "infinite_aggregation"))]))
+
+
+def test_the_package_loads_a_module_on_first_use_of_its_names():
+    import subprocess
+    import sys
+
+    script = """
+import sys
+loaded = lambda: sorted(n for n in sys.modules if n.split('.')[0] == 'finiagg')
+import finiagg
+print(loaded())
+finiagg.certify_matrix
+print(loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(["finiagg"]), str(sorted(["finiagg", *(f"finiagg.{m}" for m in (
+        "certifier", "datamodel", "errors", "hashing"))]))]
 
 
 def test_no_command_imports_the_references(tmp_path, train_file, test_file):
@@ -1117,20 +1140,22 @@ def test_training_references_exit_three_when_classes_cannot_be_allocated(
 
 
 @pytest.mark.parametrize("learner", ["centroid", "majority"])
-def test_dataset_runs_past_64_bit_class_indices_exit_three(tmp_path, train_file, test_file, learner, capsys):
-    # the models size their class axis from the labels; the votes' class indices cannot be held
+def test_dataset_runs_past_a_signed_64_bit_class_index_certify(tmp_path, train_file, test_file, learner, capsys):
+    # the models size their class axis from the labels, and 8-byte votes hold every class index
     huge = tmp_path / "huge.csv"
     huge.write_text(HUGE_CELL_CSV, encoding="utf-8")
     n_classes = 2**63 + 1
-    want = {"error": "LimitError", "exit_code": 3,
-            "message": f"class indices up to {n_classes - 1} do not fit in a 64-bit integer"}
     for train in (train_file, huge):
-        assert _run("certify", "--dataset", train, "--test", test_file, "--k", 2,
-                    "--learner", learner, "--n-classes", n_classes) == 3, train
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert json.loads(err) == want
+        reports = []
+        for classes in (n_classes, 4):  # 4 = largest label + 2
+            assert _run("certify", "--dataset", train, "--test", test_file, "--k", 2,
+                        "--learner", learner, "--n-classes", classes) == 0, train
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(json.loads(out))
+        wide, narrow = reports
+        assert wide.pop("n_classes") == n_classes and narrow.pop("n_classes") == 4
+        assert wide == narrow
 
 
 def test_statistics_that_cannot_be_allocated_exit_three(tmp_path, train_file, test_file, capsys):

@@ -41,6 +41,9 @@ def test_explicit_n_classes_keeps_absent_classes_valid():
 def test_empty_dataset_needs_explicit_shape():
     with pytest.raises(DataError):
         validate_dataset([])
+    with pytest.raises(DataError) as err:
+        validate_dataset([], n_classes=3)
+    assert str(err.value) == "cannot infer feature_dim from an empty dataset"
     ds = validate_dataset([], n_classes=3, feature_dim=2)
     assert len(ds) == 0 and ds.feature_dim == 2
 

@@ -44,6 +44,19 @@ def test_generate_offsets_is_deterministic_and_in_range():
         assert all(0 <= r < 4 for r in first.offsets)
 
 
+@pytest.mark.parametrize("k, d, seed, offsets", [
+    (2, 2, 0, (0, 2)),
+    (5, 3, 7, (0, 11, 13)),
+    (4, 4, 1, (0, 2, 11, 12)),
+    (50, 16, 0, (122, 140, 190, 204, 324, 328, 330, 377, 406, 444, 509, 608, 610, 616, 688, 712)),
+    (1200, 16, 2**64 - 1, (487, 2254, 2414, 2666, 3674, 3681, 10451, 10484, 10996, 12042, 13184, 13569,
+                           14711, 16137, 18011, 19026)),
+])
+def test_generate_offsets_golden_values(k, d, seed, offsets):
+    # the pinned generator's layouts, which must be bit-identical on every platform and release
+    assert generate_offsets(k, d, seed) == SpreadOffsets(offsets, k * d)
+
+
 def test_generate_offsets_varies_with_seed():
     draws = {generate_offsets(5, 3, seed).offsets for seed in range(40)}
     assert len(draws) > 1

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finiagg import AggregationConfig, SpreadOffsets, VoteMatrix
+from finiagg import AggregationConfig, SampleCertificate, SpreadOffsets, VoteMatrix
 from finiagg.certifier import _histogram_radius, _vote_losses, certified_fraction_curve, certify_matrix
 from finiagg.datamodel import byte_width, pack, unpack
-from finiagg.errors import DataError, LimitError
+from finiagg.errors import DataError
 from finiagg.reference import _scan_radius, margin_table
 
 from conftest import reference_certificates
@@ -159,12 +159,11 @@ def test_certificate_stops_at_the_first_challenger_whose_bound_reaches_the_radiu
         assert cert.fa_radius == fine
 
 
-def test_class_indices_beyond_64_bits_are_a_limit_error():
+def test_certify_matrix_takes_class_indices_past_a_signed_64_bit_integer():
     n_classes = 2**63 + 1
     config = AggregationConfig(k=2, d=1, n_classes=n_classes)
     matrix = VoteMatrix(((0, n_classes - 1),), config, SpreadOffsets((0,), 2))
-    with pytest.raises(LimitError):
-        certify_matrix(matrix)
+    assert certify_matrix(matrix) == [SampleCertificate(predicted=0, correct=None, dpa_radius=0, fa_radius=0)]
 
 
 def _old_curve(radii, max_attack_size):

@@ -173,6 +173,10 @@ CONFIG, OFFSETS = AggregationConfig(2, 1, 3), SpreadOffsets((1,), 2)
     ((((0, 1),), CONFIG, OFFSETS, (0, 1)), DimensionMismatch, "2 labels for 1 vote rows"),
     ((((0, 1), (1, 1)), CONFIG, OFFSETS, (2, 3)), DataError, "label 1: class 3 outside [0, 3)"),
     ((((0, 1),), CONFIG, OFFSETS, (-1,)), DataError, "label 0: class -1 outside [0, 3)"),
+    (((b"\0",), CONFIG, OFFSETS), DimensionMismatch, "vote row 0 has 1 bytes, expected 2"),
+    (((b"\0\0\0",), AggregationConfig(2, 1, 300), OFFSETS), DimensionMismatch, "vote row 0 has 3 bytes, expected 4"),
+    (((b"\0\0" + (300).to_bytes(2, "little"),), AggregationConfig(2, 1, 300), OFFSETS), DataError,
+     "vote row 0: class 300 outside [0, 300)"),
 ])
 def test_vote_matrix_validation(args, error, message):
     with pytest.raises(error) as err:
