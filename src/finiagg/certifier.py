@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .datamodel import VoteMatrix, argmax, byte_width, pack, unpack
 from .errors import (
@@ -98,16 +98,13 @@ class RowLosses:
     into bytes ``[j * w, (j + 1) * w)``, little-endian, where ``w`` is the
     fewest bytes that hold ``2d``; ``lanes(q)`` calls it once per challenger,
     keeps the bytes in ``_losses`` and reads them back, one loss per partition.
-    The fields and ``rhs`` and ``delta_elements`` are named as
-    ``MarginTable``'s, so the reference rules read a row as they read its
-    table.
     """
 
-    __slots__ = ("prediction", "kd", "d", "n_classes", "counts", "pack_losses", "_losses")
+    __slots__ = ("prediction", "kd", "d", "counts", "pack_losses", "_losses")
 
-    def __init__(self, prediction: int, kd: int, d: int, n_classes: int, counts: dict[int, int],
+    def __init__(self, prediction: int, kd: int, d: int, counts: dict[int, int],
                  pack_losses: Callable[[int], bytes]):
-        self.prediction, self.kd, self.d, self.n_classes = prediction, kd, d, n_classes
+        self.prediction, self.kd, self.d = prediction, kd, d
         self.counts, self.pack_losses = counts, pack_losses
         self._losses: dict[int, bytes] = {}
 
@@ -122,12 +119,6 @@ class RowLosses:
         if challenger not in self._losses:
             self._losses[challenger] = self.pack_losses(challenger)
         return unpack(self._losses[challenger], self.kd)
-
-    def delta_elements(self, challenger: int, scope: Iterable[int] | None = None) -> list[int]:
-        if challenger not in self.counts:  # no votes: the losses of the class that stands for it
-            challenger = min(self.counts, key=self.counts.__getitem__)
-        lanes = self.lanes(challenger)
-        return sorted((lanes[j] for j in (range(self.kd) if scope is None else scope)), reverse=True)
 
     def certificate(self, label: int | None) -> SampleCertificate:
         return _certificate(self, label)
@@ -178,7 +169,7 @@ def _vote_losses(votes: bytes, offsets: SpreadOffsets, n_classes: int) -> RowLos
         summed = sum(step >> 8 * lane * r for r in offsets.offsets) & (1 << bits) - 1
         return summed.to_bytes(kd * lane, "little")
 
-    return RowLosses(c, kd, d, n_classes, counts, pack_losses)
+    return RowLosses(c, kd, d, counts, pack_losses)
 
 
 def _certificate(row: RowLosses, label: int | None) -> SampleCertificate:
@@ -295,9 +286,10 @@ def _certified_accuracy(rows: Sequence[RowLosses], radii: Sequence[int], q_size:
     Radius -1 is a mispredicted row, never certified; a row whose fine radius
     reaches ``q_size`` is certified under every Q. Since Q holds exactly as
     many partitions as the adversary may touch, its top-|Q| sum is the sum
-    over Q (``reference.conditional_certified`` is the rule for one row). The
-    other rows are scored for all Q at once, each Q with one sum of Python
-    ints whose lanes hold every (row, challenger) margin.
+    over Q. The other rows are scored for all Q at once, each Q with one sum
+    of Python ints whose lanes hold every (row, challenger) margin.
+    ``reference.certified_accuracy``, the least mean of
+    ``conditional_certified`` over every Q, is the rule this is checked against.
 
     Lanes: each challenger of a scored row whose own radius is below
     ``q_size`` (no other can break) gets one lane of ``size`` bytes, its

@@ -534,8 +534,7 @@ def cmd_oracle_check(args) -> int:
     matrix = _matrix_from_args(args)
     if matrix.n_test == 0:
         raise EmptyTestSet()
-    report = verify_certificates([unpack(row, matrix.config.kd) for row in matrix.votes], matrix.offsets,
-                                 matrix.config.n_classes, matrix.labels, args.oracle_limit)
+    report = verify_certificates(matrix, args.oracle_limit)
     obj = {
         "command": "oracle-check",
         "n_test": matrix.n_test,

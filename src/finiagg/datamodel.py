@@ -25,6 +25,7 @@ index (``aggregate_prediction``).
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections import Counter, namedtuple
 from typing import Iterable, Sequence
@@ -172,8 +173,13 @@ class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
                     raise DimensionMismatch(f"vote row {t} has {len(row)} entries, expected {kd}")
                 try:
                     row = pack(row, width)
-                except (ValueError, struct.error):  # a vote outside [0, 2^(8 width)), or not an int
-                    _check_classes(f"vote row {t}: class", row, n_classes)
+                except (ValueError, struct.error, TypeError):  # a vote outside [0, 2^(8 width)), or not an int
+                    for vote in row:  # only on failure: name the first offending vote
+                        try:
+                            operator.index(vote)
+                        except TypeError:
+                            raise DataError(f"vote row {t}: {vote!r} is not an integer") from None
+                        _check_classes(f"vote row {t}: class", (vote,), n_classes)
                     raise
             elif len(row) != kd * width:
                 raise DimensionMismatch(f"vote row {t} has {len(row)} bytes, expected {kd * width}")

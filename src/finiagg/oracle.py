@@ -27,7 +27,7 @@ from collections import namedtuple
 from typing import Sequence
 
 from .certifier import _vote_losses
-from .datamodel import aggregate_prediction, byte_width, pack
+from .datamodel import VoteMatrix, aggregate_prediction, unpack
 from .errors import InstanceTooLarge
 from .hashing import SpreadOffsets, spread
 
@@ -149,29 +149,23 @@ class VerificationReport(namedtuple("VerificationReport", "rows")):
         return dict(sorted(hist.items()))
 
 
-def verify_certificates(
-    rows: Sequence[Sequence[int]],
-    offsets: SpreadOffsets,
-    n_classes: int,
-    labels: Sequence[int] | None = None,
-    limit: int = DEFAULT_LIMIT,
-) -> VerificationReport:
-    """Check every certificate against the exhaustive adversary.
+def verify_certificates(matrix: VoteMatrix, limit: int = DEFAULT_LIMIT) -> VerificationReport:
+    """Check every certificate of the matrix against the exhaustive adversary.
 
     Soundness requires the certified radius never to exceed the exact one;
     with d=1 the fine-grained certificate must also equal the plain
     disjoint-partition radius on the same votes. The per-row gap records
     certificate slack (0 means tight). Both certificates come from the
-    row's ``_vote_losses``, on the row packed as ``VoteMatrix`` packs it,
-    and the exact radius from ``branch_and_bound_radius`` on its ints.
+    row's ``_vote_losses``, on the row as the matrix holds it, and the exact
+    radius from ``branch_and_bound_radius`` on its ``unpack``ed ints.
     """
-    width = byte_width(n_classes - 1, "class indices")
+    offsets, n_classes, labels = matrix.offsets, matrix.config.n_classes, matrix.labels
     verified = []
-    for t, row in enumerate(rows):
+    for t, votes in enumerate(matrix.votes):
         label = labels[t] if labels is not None else None
-        cert = _vote_losses(pack(row, width), offsets, n_classes).certificate(label)
+        cert = _vote_losses(votes, offsets, n_classes).certificate(label)
         fa = cert.fa_radius
-        exact = branch_and_bound_radius(row, offsets, n_classes, label, limit)
+        exact = branch_and_bound_radius(unpack(votes, offsets.kd), offsets, n_classes, label, limit)
         dpa = cert.dpa_radius if offsets.d == 1 else None
         verified.append(
             RowVerification(

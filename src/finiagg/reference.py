@@ -18,11 +18,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from . import certifier
-from .certifier import ENUMERATION_CAP, RowLosses, _shared_set_size
+from .certifier import ENUMERATION_CAP, _shared_set_size
 from .datamodel import (
     MAJORITY_LABEL, NEAREST_CENTROID, AggregationConfig, Dataset, LabeledSample, LearnerSpec, VoteMatrix,
-    aggregate_prediction, argmax, byte_width, pack, unpack,
+    aggregate_prediction, argmax, unpack,
 )
 from .errors import DataError, DimensionMismatch, InstanceTooLarge, LimitError
 from .hashing import SpreadOffsets, spread
@@ -330,41 +329,17 @@ def certified_accuracy(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Worst-case test accuracy over all attacks sharing one poison set.
 
-    Minimizes the mean conditional certificate over every partition subset Q
-    of size ``min(budget, kd)``; larger scopes only weaken the certificate,
-    so smaller Q never attain the minimum. Returns the minimum and the first
-    Q (in lexicographic order) attaining it.
-
-    ``finiagg.reference.conditional_certified`` is the reference for each
-    row. Since Q holds exactly as many partitions as the adversary may
-    touch, its top-|Q| sum is the sum over Q. A mispredicted row is never
-    certified and a row whose fine radius reaches |Q| is certified under
-    every Q; the others are scored for all rows at once, each Q with one
-    sum of Python ints whose lanes hold every (row, challenger) margin (see
-    ``_certified_accuracy``).
+    Minimizes the mean of ``conditional_certified`` over every partition
+    subset Q of size ``min(budget, kd)``; larger scopes only weaken the
+    certificate, so smaller Q never attain the minimum. Returns the minimum
+    and the first Q (in lexicographic order) attaining it.
     """
     kd = tables[0].kd if tables else 0  # without rows, EmptyTestSet is raised before kd is read
     q_size = _shared_set_size(labels, len(tables), kd, budget, enumeration_cap)
-    radii = [fa_radius(table, label) for table, label in zip(tables, labels)]
-    return _certified_accuracy(tables, radii, q_size)
-
-
-
-def _certified_accuracy(tables: Sequence[MarginTable], radii: Sequence[int], q_size: int):
-    """``certifier._certified_accuracy`` over margin tables, each read as a ``RowLosses``."""
-    return certifier._certified_accuracy([_row_losses_of(table) for table in tables], radii, q_size)
-
-
-def _row_losses_of(table: MarginTable) -> RowLosses:
-    """The table's losses packed as ``certifier._vote_losses`` packs them, every other class a challenger."""
-    c, d = table.prediction, table.d
-    lane = byte_width(2 * d, "margin losses")
-    a_c = table.partition_counts[c]
-    losses = {
-        q: pack([d + x - y for x, y in zip(a_c, a_q)], lane)
-        for q, a_q in enumerate(table.partition_counts) if q != c
-    }
-    return RowLosses(c, table.kd, d, table.n_classes, dict(enumerate(table.global_counts)), losses.__getitem__)
+    return min(
+        (Fraction(sum(conditional_certified(t, q, q_size, l) for t, l in zip(tables, labels)), len(tables)), q)
+        for q in combinations(range(kd), q_size)
+    )
 
 
 def _class_masks(row: Sequence[int], n_classes: int) -> list[int]:

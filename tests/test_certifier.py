@@ -17,6 +17,7 @@ from finiagg import (
     margin_table,
     radius_stats,
 )
+from finiagg.certifier import ENUMERATION_CAP, _certified_accuracy, _shared_set_size, _vote_losses
 from finiagg.errors import EmptyTestSet, EnumerationTooLarge, LengthMismatch
 from finiagg.hashing import SpreadOffsets
 
@@ -380,21 +381,19 @@ def test_radius_stats_counts_incorrect_rows_in_denominator():
 
 
 # ---------------------------------------------------------------------------
-# certified_accuracy against a brute-force minimum of the reference
-# conditional_certified over every Q
+# cert-acc's kernel, on the rows cmd_cert_acc makes, against certified_accuracy,
+# the least mean of the reference conditional_certified over every Q
 
 
-def _brute_force_certified_accuracy(tables, labels, budget):
-    """Lowest accuracy over every Q of min(budget, kd) partitions, and the first Q attaining it."""
-    scores = [
-        (
-            Fraction(sum(conditional_certified(t, q, budget, l) for t, l in zip(tables, labels)), len(tables)),
-            q,
-        )
-        for q in combinations(range(tables[0].kd), min(budget, tables[0].kd))
-    ]
-    best = min(scores)
-    return best, sum(1 for acc, _ in scores if acc == best[0])
+def _kernel_certified_accuracy(rows, offsets, n_classes, labels, budget):
+    """``cmd_cert_acc``'s result: ``_vote_losses`` on each row as ``VoteMatrix`` packs it, radii from its
+    ``certificate``, and ``_certified_accuracy`` over them."""
+    config = AggregationConfig(offsets.kd // offsets.d, offsets.d, n_classes)
+    matrix = VoteMatrix(rows, config, offsets, tuple(labels))
+    q_size = _shared_set_size(matrix.labels, matrix.n_test, offsets.kd, budget, ENUMERATION_CAP)
+    losses = [_vote_losses(votes, offsets, n_classes) for votes in matrix.votes]
+    radii = [row.certificate(label).fa_radius for row, label in zip(losses, labels)]
+    return _certified_accuracy(losses, radii, q_size)
 
 
 def test_certified_accuracy_matches_brute_force(rng):
@@ -405,16 +404,19 @@ def test_certified_accuracy_matches_brute_force(rng):
         kd = k * d
         n_classes = rng.randint(2, 4)
         offsets = random_offsets(rng, k, d)
-        tables, labels = [], []
+        rows, labels = [], []
         for _ in range(rng.randint(1, 6)):
             favourite, share = rng.randrange(n_classes), rng.random()
-            row = tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd))
-            tables.append(margin_table(row, offsets, n_classes))
+            rows.append(tuple(favourite if rng.random() < share else rng.randrange(n_classes) for _ in range(kd)))
             labels.append(favourite if rng.random() < 0.8 else rng.randrange(n_classes))
+        tables = [margin_table(row, offsets, n_classes) for row in rows]
         for budget in sorted({0, 1, rng.randint(0, kd), kd, kd + 2}):
-            expected, argmins = _brute_force_certified_accuracy(tables, labels, budget)
-            assert certified_accuracy(tables, labels, budget) == expected, (tables, labels, budget)
-            tied += argmins > 1
+            expected = certified_accuracy(tables, labels, budget)
+            assert _kernel_certified_accuracy(rows, offsets, n_classes, labels, budget) == expected, (
+                rows, labels, budget)
+            hits = expected[0] * len(tables)  # the rows certified under the first minimizing Q
+            tied += sum(sum(conditional_certified(t, q, budget, l) for t, l in zip(tables, labels)) == hits
+                        for q in combinations(range(kd), min(budget, kd))) > 1
     assert tied  # several Q attained the minimum in some cases
 
 
@@ -426,12 +428,12 @@ def test_certified_accuracy_when_every_row_is_mispredicted_or_certified(budget):
     tables = [margin_table(row, offsets, 3) for row in rows]
     # every row mispredicted: no Q matters, the first one is returned
     assert certified_accuracy(tables, [1, 0, 0], budget) == (0, first_q)
-    assert _brute_force_certified_accuracy(tables, [1, 0, 0], budget)[0] == (0, first_q)
+    assert _kernel_certified_accuracy(rows, offsets, 3, [1, 0, 0], budget) == (0, first_q)
     # unanimous rows: certified under every Q up to their radius, then broken by every Q
-    unanimous = [margin_table((c,) * 6, offsets, 3) for c in range(3)]
-    expected = (Fraction(int(budget <= fa_radius(unanimous[0], 0))), first_q)
-    assert certified_accuracy(unanimous, [0, 1, 2], budget) == expected
-    assert _brute_force_certified_accuracy(unanimous, [0, 1, 2], budget)[0] == expected
+    unanimous = [(c,) * 6 for c in range(3)]
+    expected = (Fraction(int(budget <= fa_radius(margin_table(unanimous[0], offsets, 3), 0))), first_q)
+    assert certified_accuracy([margin_table(row, offsets, 3) for row in unanimous], [0, 1, 2], budget) == expected
+    assert _kernel_certified_accuracy(unanimous, offsets, 3, [0, 1, 2], budget) == expected
 
 
 def test_certified_accuracy_lanes_match_brute_force(rng):
@@ -451,17 +453,19 @@ def test_certified_accuracy_lanes_match_brute_force(rng):
         n_classes = voted if trial % 3 == 0 else rng.choice([voted + 1, 40])
         classes = rng.sample(range(n_classes), voted)  # the classes with votes
         offsets = random_offsets(rng, k, d)
-        tables, labels = [], []
+        rows, labels = [], []
         for _ in range(rng.randint(20, 26)):
             favourite, share = rng.choice(classes), rng.uniform(0.3, 0.9)
             rivals = rng.sample(classes, rng.randint(1, voted))  # often fewer than every voted class
-            row = tuple(favourite if rng.random() < share else rng.choice(rivals) for _ in range(kd))
-            tables.append(margin_table(row, offsets, n_classes))
+            rows.append(tuple(favourite if rng.random() < share else rng.choice(rivals) for _ in range(kd)))
             labels.append(favourite if rng.random() < 0.9 else rng.randrange(n_classes))
+        tables = [margin_table(row, offsets, n_classes) for row in rows]
         for budget in sorted({0, rng.randint(1, 3), kd, kd + 2}):
-            expected, argmins = _brute_force_certified_accuracy(tables, labels, budget)
-            assert certified_accuracy(tables, labels, budget) == expected, (trial, budget)
-            tied += argmins > 1
+            expected = certified_accuracy(tables, labels, budget)
+            assert _kernel_certified_accuracy(rows, offsets, n_classes, labels, budget) == expected, (trial, budget)
+            hits = expected[0] * len(tables)  # the rows certified under the first minimizing Q
+            tied += sum(sum(conditional_certified(t, q, budget, l) for t, l in zip(tables, labels)) == hits
+                        for q in combinations(range(kd), min(budget, kd))) > 1
             cap = min(budget, kd) * 2 * d
             clamped += sum(
                 0 <= fa_radius(t, l) < min(budget, kd)

@@ -235,6 +235,28 @@ def test_oracle_check_limit_exit_three(tmp_path, train_file, test_file, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InstanceTooLarge"
 
 
+def test_oracle_check_exits_four_and_still_writes_the_report_on_an_unsound_certificate(tmp_path, monkeypatch, capsys):
+    """Every certificate of a correct row overstated by one: both rows fail, one past their exact radius."""
+    from finiagg import certifier
+
+    certificate = certifier._certificate
+
+    def overstated(row, label):
+        cert = certificate(row, label)
+        return cert._replace(fa_radius=cert.fa_radius + 1) if cert.fa_radius >= 0 else cert
+
+    monkeypatch.setattr(certifier, "_certificate", overstated)
+    votes, out = tmp_path / "votes.json", tmp_path / "oracle.json"
+    votes.write_text(json.dumps({"k": 3, "d": 2, "offsets": [0, 1], "n_classes": 3, "labels": [0, 1],
+                                 "votes": [[0, 0, 0, 1, 0, 2], [1, 1, 0, 1, 1, 1]]}), encoding="utf-8")
+    assert _run("oracle-check", "--votes", votes, "--out", out) == 4
+    want = {"error": "SoundnessViolation", "message": "2 row(s) failed verification", "exit_code": 4}
+    assert capsys.readouterr() == ("", json.dumps(want) + "\n")
+    report = json.loads(out.read_text())
+    assert report["ok"] is False and report["gap_histogram"] == {"-1": 2}
+    assert [(r["gap"], r["sound"]) for r in report["rows"]] == [(-1, False), (-1, False)]
+
+
 def test_ia_command_empty_dataset(tmp_path, test_file):
     empty = tmp_path / "empty.csv"
     empty.write_text("label,f0,f1\n", encoding="utf-8")
@@ -485,10 +507,9 @@ def test_cert_acc_computes_each_radius_once(tmp_path, train_file, test_file, mon
 
 def test_cert_acc_report_bytes_match_the_brute_force_reference(tmp_path, monkeypatch):
     import random
-    from itertools import combinations
 
     from finiagg import cli
-    from finiagg.reference import conditional_certified
+    from finiagg.reference import certified_accuracy, margin_table
 
     from conftest import random_offsets
 
@@ -504,24 +525,20 @@ def test_cert_acc_report_bytes_match_the_brute_force_reference(tmp_path, monkeyp
             favourite, share = rng.choice(classes), rng.uniform(0.4, 0.9)
             rows.append([favourite if rng.random() < share else rng.choice(classes) for _ in range(kd)])
             labels.append(favourite if rng.random() < 0.9 else rng.randrange(n_classes))
+        offsets = random_offsets(rng, k, d)
         votes = tmp_path / f"votes_{case}.json"
-        votes.write_text(json.dumps({"k": k, "d": d, "offsets": list(random_offsets(rng, k, d).offsets),
+        votes.write_text(json.dumps({"k": k, "d": d, "offsets": list(offsets.offsets),
                                      "n_classes": n_classes, "labels": labels, "votes": rows}),
                          encoding="utf-8")
-
-        def reference(tables, radii, q_size):  # the lowest accuracy over every Q, the first Q on ties
-            return min(
-                (Fraction(sum(conditional_certified(t, q, q_size, l) for t, l in zip(tables, labels)),
-                          len(tables)), q)
-                for q in combinations(range(kd), q_size)
-            )
+        tables = [margin_table(row, offsets, n_classes) for row in rows]  # from the rows written, not the kernel's
 
         for budget in (0, rng.randint(1, 3), kd + 2):
             reports = []
             for patch in (False, True):
                 with monkeypatch.context() as m:
                     if patch:
-                        m.setattr(cli, "_certified_accuracy", reference)
+                        m.setattr(cli, "_certified_accuracy",
+                                  lambda rows, radii, q_size: certified_accuracy(tables, labels, q_size))
                     out = tmp_path / f"acc_{patch}.json"
                     assert _run("cert-acc", "--votes", votes, "--budget", budget, "--out", out) == 0
                     reports.append(out.read_bytes())
@@ -969,19 +986,21 @@ def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"\nlabel,f0\n0,1\n", b"label,f0\n0,\xff\n", b'label,f0\n0,"' + b"1" * 140_000 + b'"\n'],
-    ids=["blank-header-line", "not-utf-8", "field-over-csv-limit"],
+    "content, message",
+    [(b"\nlabel,f0\n0,1\n", "missing header"),
+     (b"label,f0\n0,\xff\n", "row 0 has a non-integer cell"),
+     (b'label,f0\n0,"' + b"1" * 140_000 + b'"\n', "field larger than field limit (131072)"),
+     (b'label,"' + b"f" * 140_000 + b'"\n0,1\n', "field larger than field limit (131072)")],
+    ids=["blank-header-line", "not-utf-8", "field-over-csv-limit", "header-field-over-csv-limit"],
 )
-def test_unreadable_csv_text_is_a_data_error(tmp_path, train_file, test_file, content, capsys):
+def test_unreadable_csv_text_is_a_data_error(tmp_path, train_file, test_file, content, message, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)
+    want = json.dumps({"error": "DataError", "message": f"{bad}: {message}", "exit_code": 2}) + "\n"
     for dataset, test in ((bad, test_file), (train_file, bad)):
         for command in (["certify", "--k", "3"], ["ia", "--k", "2"]):
             assert _run(*command, "--dataset", dataset, "--test", test) == 2
-            err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1
-            assert json.loads(err)["error"] == "DataError"
+            assert capsys.readouterr().err == want
 
 
 def test_unreadable_vote_file_text_is_a_data_error(tmp_path, capsys):

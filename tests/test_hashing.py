@@ -67,6 +67,13 @@ def test_generate_offsets_rejects_zero_partitions():
         generate_offsets(0, 2, seed=0)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_generate_offsets_refuses_a_spread_degree_below_one(d):
+    with pytest.raises(UsageError) as err:
+        generate_offsets(3, d, 0)
+    assert type(err.value) is UsageError and str(err.value) == f"spread degree must be positive, got d={d}"
+
+
 def test_generate_offsets_refuses_a_kd_it_cannot_list():
     # 10**11 entries are refused by the allocator at once; with {0} offsets the run would
     # otherwise go on to build 10**11 partitions one by one

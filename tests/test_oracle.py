@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finiagg import (
+    AggregationConfig,
+    VoteMatrix,
     branch_and_bound_radius,
     conditional_certified,
     conditional_exact_check,
@@ -109,7 +111,7 @@ def test_verify_certificates_randomized_batch(rng):
     rows = [random_row(rng, 6, 3) for _ in range(40)]
     labels = [rng.randrange(3) for _ in range(40)]
     offsets = SpreadOffsets((0, 1), 6)
-    report = verify_certificates(rows, offsets, 3, labels)
+    report = verify_certificates(VoteMatrix(rows, AggregationConfig(3, 2, 3), offsets, tuple(labels)))
     assert report.ok
     assert report.violations == ()
     assert all(r.gap >= 0 for r in report.rows)
@@ -119,7 +121,7 @@ def test_verify_certificates_randomized_batch(rng):
 def test_verify_certificates_d1_equivalence(rng):
     rows = [random_row(rng, 5, 3) for _ in range(30)]
     offsets = SpreadOffsets((2,), 5)  # any single offset, not just {0}
-    report = verify_certificates(rows, offsets, 3)
+    report = verify_certificates(VoteMatrix(rows, AggregationConfig(5, 1, 3), offsets))
     assert report.ok
     for r in report.rows:
         assert r.dpa_equivalent is True
@@ -136,10 +138,13 @@ def test_verification_report_flags_unsound_rows():
     assert report.gap_histogram() == {-1: 1, 1: 1}
 
 
-def test_parallel_verification_matches_sequential(rng):
+def test_verification_reads_rows_of_one_and_two_bytes_a_vote_alike(rng):
+    """The same votes under 3 classes (1 byte a vote) and under 300 (2 bytes) give the same report."""
     rows = [random_row(rng, 6, 3) for _ in range(20)]
     offsets = SpreadOffsets((0, 2), 6)
-    assert verify_certificates(rows, offsets, 3) == verify_certificates(rows, offsets, 3)
+    narrow, wide = (VoteMatrix(rows, AggregationConfig(3, 2, n_classes), offsets) for n_classes in (3, 300))
+    assert {len(votes) for votes in narrow.votes} == {6} and {len(votes) for votes in wide.votes} == {12}
+    assert verify_certificates(narrow) == verify_certificates(wide)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,13 @@ CONFIG, OFFSETS = AggregationConfig(2, 1, 3), SpreadOffsets((1,), 2)
     (((b"\0\0\0",), AggregationConfig(2, 1, 300), OFFSETS), DimensionMismatch, "vote row 0 has 3 bytes, expected 4"),
     (((b"\0\0" + (300).to_bytes(2, "little"),), AggregationConfig(2, 1, 300), OFFSETS), DataError,
      "vote row 0: class 300 outside [0, 300)"),
+    # a vote that is not an int, at 1 and 2 bytes a vote: the first offending vote in row order is named
+    ((((0, 1.5),), CONFIG, OFFSETS), DataError, "vote row 0: 1.5 is not an integer"),
+    ((((0, 1), ("1", 0)), CONFIG, OFFSETS), DataError, "vote row 1: '1' is not an integer"),
+    ((((None, 7),), CONFIG, OFFSETS), DataError, "vote row 0: None is not an integer"),
+    ((((1.5, 0),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: 1.5 is not an integer"),
+    ((((0, "1"),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: '1' is not an integer"),
+    ((((400, None),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: class 400 outside [0, 300)"),
 ])
 def test_vote_matrix_validation(args, error, message):
     with pytest.raises(error) as err:
