@@ -23,10 +23,11 @@ from __future__ import annotations
 import csv
 import re
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .datamodel import byte_width
 from .errors import DimensionMismatch
 from .hashing import SpreadOffsets
 
@@ -171,37 +172,44 @@ def _centroid_dtype(max_n: int, max_cell: int, feature_dim: int):
     return np.int64 if feature_dim * (max_n * max_cell) ** 2 * max_n**2 < INT64_LIMIT else object
 
 
-def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]:
-    """Votes ``[t][i]`` of the nearest-centroid models on every row of the (n, F) test array.
+def packed_votes(classifiers: Statistics, test: np.ndarray, n_classes: int) -> Sequence[bytes]:
+    """The models' votes on every row of the (n, F) test array, each row packed as ``VoteMatrix`` holds it.
 
-    The squared distance of ``x`` to class c's centroid ``s_c / n_c`` is
-    ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``. A tournament over the
-    classes in index order compares them by ``num_a * n_b^2 < num_b * n_a^2``
-    and skips absent classes, so ties stay with the smaller index and a
-    model without samples votes 0. It runs in int64 while every compared
-    product stays below 2^63 (``_centroid_dtype``), and in Python ints
-    otherwise. A test array of another width than the training features
-    raises ``DimensionMismatch``, as ``NearestCentroidModel.predict`` does,
-    unless no model has samples or there are no test rows.
+    A row is one ``bytes`` of ``kd`` little-endian votes, as wide as
+    ``n_classes`` needs. Majority-label models (no feature sums), and models
+    without samples, vote the arg-max of their counts on every row: one row,
+    packed once and shared. Nearest-centroid models run a tournament over the
+    classes in index order: the squared distance of ``x`` to class c's
+    centroid ``s_c / n_c`` is ``num_c / n_c^2`` with ``num_c = |n_c x - s_c|^2``,
+    compared by ``num_a * n_b^2 < num_b * n_a^2``, skipping absent classes,
+    so ties stay with the smaller index. It runs in int64 while every
+    compared product stays below 2^63 (``_centroid_dtype``), and in Python
+    ints otherwise, 16 test rows at a time, each block's votes packed at once,
+    so no (n, kd) array of votes is held. A test array of another width than
+    the training features raises ``DimensionMismatch``, as
+    ``NearestCentroidModel.predict`` does, unless no model has samples or
+    there are no test rows; it comes before a class count past 8 bytes.
     """
     counts, sums = classifiers.counts, classifiers.sums
-    kd, n_classes, feature_dim = sums.shape
-    if not counts.any() or not len(test):
-        return [[0] * kd for _ in range(len(test))]
-    if test.shape[1] != feature_dim:
-        raise DimensionMismatch(f"expected {feature_dim} features, got {test.shape[1]}")
+    centroid = sums is not None and counts.any() and len(test)
+    if centroid and test.shape[1] != sums.shape[2]:
+        raise DimensionMismatch(f"expected {sums.shape[2]} features, got {test.shape[1]}")
+    vote = f"<u{byte_width(n_classes - 1, 'class indices')}"
+    if not centroid:
+        return (counts.argmax(axis=1).astype(vote).tobytes(),) * len(test)
+    kd, n_seen, feature_dim = sums.shape
     dtype = _centroid_dtype(int(counts.max()), max(classifiers.max_cell, int(test.max())), feature_dim)
     counts, sums, test = (a.astype(dtype, copy=False) for a in (counts, sums, test))
     den = counts * counts
     sq_sums = np.einsum("icf,icf->ic", sums, sums)
-    votes = np.empty((len(test), kd), np.int64)
+    rows = []
     for start in range(0, len(test), _TEST_BLOCK):
         x = test[start : start + _TEST_BLOCK].T  # (F, B)
         xx = (x * x).sum(axis=0)
         best = np.zeros((kd, x.shape[1]), np.int64)
         best_num = best_den = np.zeros((kd, x.shape[1]), dtype)
         have = np.zeros((kd, 1), bool)
-        for c in range(n_classes):
+        for c in range(n_seen):
             n_c, den_c = counts[:, c : c + 1], den[:, c : c + 1]
             # |n x - s|^2 = n^2 |x|^2 - 2 n (s . x) + |s|^2; a partial sum may wrap,
             # but int64 arithmetic is exact modulo 2^64 and the total is below 2^63
@@ -214,5 +222,5 @@ def centroid_votes(classifiers: Statistics, test: np.ndarray) -> list[list[int]]
             best_num = np.where(win, num, best_num)
             best_den = np.where(win, den_c, best_den)
             have = have | (n_c > 0)
-        votes[start : start + x.shape[1]] = best.T
-    return votes.tolist()
+        rows += map(np.ndarray.tobytes, best.T.astype(vote, order="C"))
+    return rows

@@ -189,8 +189,11 @@ class VoteMatrix(namedtuple("VoteMatrix", "votes config offsets labels")):
         if labels is not None:
             if len(labels) != len(rows):
                 raise DimensionMismatch(f"{len(labels)} labels for {len(rows)} vote rows")
-            for t, lab in enumerate(labels):
-                _check_classes(f"label {t}: class", (lab,), n_classes)
+            if labels and not (set(map(type, labels)) == {int} and 0 <= min(labels) and max(labels) < n_classes):
+                for t, lab in enumerate(labels):  # only on failure: name the first offending label
+                    if type(lab) is not int:  # a bool, a float or a str is refused, never coerced
+                        raise DataError(f"label {t}: {lab!r} is not an integer")
+                    _check_classes(f"label {t}: class", (lab,), n_classes)
         return super().__new__(cls, tuple(rows), config, offsets, labels)
 
     @property

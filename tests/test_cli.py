@@ -98,7 +98,7 @@ def test_vote_matrix_json_round_trips_bit_exactly(tmp_path, train_file, test_fil
         "--save-votes", votes, "--out", tmp_path / "r.json",
     ) == 0
     text = votes.read_text(encoding="utf-8")
-    assert votes_to_json(votes_from_json(text)) == text
+    assert "".join(votes_to_json(votes_from_json(text))) == text
 
 
 def test_dataset_csv_round_trips_bit_exactly(tmp_path, train_file):
@@ -812,12 +812,21 @@ def test_partitions_past_2_63_are_a_limit_error(train_file, test_file, capsys, l
 
 
 def test_vote_json_holds_one_row_per_line():
-    text = votes_to_json(votes_from_json(json.dumps({**VOTES, "labels": [1, 0], "votes": [[1, 1], [0, 1]]})))
+    text = "".join(votes_to_json(votes_from_json(json.dumps({**VOTES, "labels": [1, 0], "votes": [[1, 1], [0, 1]]}))))
     assert text == (
         '{\n  "k": 2,\n  "d": 1,\n  "offsets": [1],\n  "n_classes": 2,\n  "labels": [1, 0],\n'
         '  "votes": [\n    [1, 1],\n    [0, 1]\n  ]\n}\n'
     )
-    assert votes_to_json(votes_from_json(text)) == text
+    assert "".join(votes_to_json(votes_from_json(text))) == text
+
+
+def test_vote_json_is_written_a_row_at_a_time():
+    """The texts are the fields, one per vote row and the end, so no text holds every row."""
+    matrix = votes_from_json(json.dumps({**VOTES, "labels": [1, 0, 1], "votes": [[1, 1], [0, 1], [1, 0]]}))
+    head = '{\n  "k": 2,\n  "d": 1,\n  "offsets": [1],\n  "n_classes": 2,\n  "labels": [1, 0, 1],\n  "votes": [\n'
+    assert list(votes_to_json(matrix)) == [head, "    [1, 1]", ",\n    [0, 1]", ",\n    [1, 0]", "\n  ]\n}\n"]
+    empty = votes_from_json(json.dumps({**VOTES, "labels": [], "votes": []}))
+    assert list(votes_to_json(empty)) == [head.replace("1, 0, 1", ""), "\n  ]\n}\n"]
 
 
 @pytest.mark.parametrize(
@@ -978,11 +987,18 @@ def test_test_width_must_match_the_training_width_for_centroids(tmp_path, train_
     narrow.write_text("f0\n2\n8\n", encoding="utf-8")
     argv = ("certify", "--dataset", train_file, "--test", narrow, "--k", 3, "--d", 2)
     want = {"error": "DimensionMismatch", "message": "expected 2 features, got 1", "exit_code": 2}
-    # the front end raises the mismatch itself, also where no model could hold n_classes counters
-    for classes in ((), ("--n-classes", 2**40)):
+    # the front end raises the mismatch itself, also where no model could hold n_classes counters, and
+    # before a class count whose votes do not fit in 8 bytes
+    for classes in ((), ("--n-classes", 2**40), ("--n-classes", 2**64 + 1)):
         assert _run(*argv, *classes, "--learner", "centroid") == 2
         assert capsys.readouterr().err == json.dumps(want) + "\n"
     assert _run(*argv, "--learner", "majority", "--out", tmp_path / "r.json") == 0
+    # no model has samples to vote with, so no width is checked and the class count is refused
+    train_file.write_text("label,f0,f1\n", encoding="utf-8")
+    limit = f"class indices up to {2**64} do not fit in a 64-bit integer"
+    for learner in ("centroid", "majority"):
+        assert _run(*argv, "--n-classes", 2**64 + 1, "--learner", learner) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "LimitError", "message": limit, "exit_code": 3}
 
 
 @pytest.mark.parametrize(
@@ -1448,12 +1464,15 @@ class _BrokenStdout:
         pass
 
 
-def test_a_failed_stdout_write_is_one_data_error(tmp_path, monkeypatch, capsys):
+def test_a_failed_stdout_write_is_one_data_error(tmp_path, monkeypatch, capsys, train_file, test_file):
+    """Every command writes through one writer, so each fails alike."""
     votes = tmp_path / "votes.json"
     votes.write_text(json.dumps(VOTES), encoding="utf-8")
-    for command in (["certify"], ["curve"], ["compare"]):
+    ia = ("--dataset", train_file, "--test", test_file, "--k", 2)
+    for command in (*(("--votes", votes, c) for c in ("certify", "curve", "compare", "cert-acc", "oracle-check")),
+                    (*ia, "ia")):
         monkeypatch.setattr("sys.stdout", _BrokenStdout())
-        assert _run(*command, "--votes", votes) == 2
+        assert _run(command[-1], *command[:-1]) == 2
         err = capsys.readouterr().err
         assert err == json.dumps({"error": "DataError", "message": "cannot write stdout: [Errno 32] Broken pipe",
                                   "exit_code": 2}) + "\n"

@@ -184,6 +184,11 @@ CONFIG, OFFSETS = AggregationConfig(2, 1, 3), SpreadOffsets((1,), 2)
     ((((1.5, 0),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: 1.5 is not an integer"),
     ((((0, "1"),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: '1' is not an integer"),
     ((((400, None),), AggregationConfig(2, 1, 300), OFFSETS), DataError, "vote row 0: class 400 outside [0, 300)"),
+    # a label that is not an exact int, named in row order; a bool or a float is never coerced
+    ((((0, 1),), CONFIG, OFFSETS, (1.5,)), DataError, "label 0: 1.5 is not an integer"),
+    ((((0, 1), (1, 1)), CONFIG, OFFSETS, (0, 1.0)), DataError, "label 1: 1.0 is not an integer"),
+    ((((0, 1),), CONFIG, OFFSETS, (True,)), DataError, "label 0: True is not an integer"),
+    ((((0, 1), (1, 1)), CONFIG, OFFSETS, ("1", 7)), DataError, "label 0: '1' is not an integer"),
 ])
 def test_vote_matrix_validation(args, error, message):
     with pytest.raises(error) as err:

@@ -18,8 +18,8 @@ def _assert_matches(matrix: VoteMatrix, tables: bool = True) -> None:
     certificate do too. Without, the table's counts are taken over the classes with votes only. The
     matrix's vote JSON reads back as an equal matrix that writes the same text."""
     offsets, n_classes, kd, d = matrix.offsets, matrix.config.n_classes, matrix.config.kd, matrix.config.d
-    text = votes_to_json(matrix)
-    assert votes_from_json(text) == matrix and votes_to_json(votes_from_json(text)) == text
+    text = "".join(votes_to_json(matrix))
+    assert votes_from_json(text) == matrix and "".join(votes_to_json(votes_from_json(text))) == text
     labels = matrix.labels or (None,) * matrix.n_test
     rng = random.Random(len(matrix.votes))
     for packed, label in zip(matrix.votes, labels):
@@ -170,7 +170,7 @@ def test_vote_losses_match_at_paper_scale():
 
 
 def test_shared_set_search_with_lanes_wider_than_the_losses():
-    """Lanes of two and three bytes around losses of one and two: the sum over Q outgrows a loss."""
+    """Lanes of two and four bytes around losses of one and two: the sum over Q outgrows a loss."""
     rng = random.Random(3)
     scored = 0
     for k, d, n_classes, q_size in ((130, 1, 3, 129), (1, 200, 2, 1), (1, 200, 3, 199), (1, 200, 2, 200)):
@@ -182,3 +182,13 @@ def test_shared_set_search_with_lanes_wider_than_the_losses():
         assert _certified_accuracy(rows, radii, q_size) == certified_accuracy(tables, matrix.labels, q_size)
         scored += sum(0 <= r < q_size for r in radii)
     assert scored >= 8  # rows the search must score, not only count
+    # kd = 2d votes for class 1: the class without votes, 0, has margin kd - 1 and every partition loses
+    # 2d = kd, so the worst Q, of one partition, sums to one past the margin. Lanes of 2 bytes around 1-byte
+    # losses (d = 64), then of 4 bytes around 2-byte ones (d = 16,384)
+    for d in (64, 16_384):
+        votes, offsets = b"\1" * 2 * d, SpreadOffsets(tuple(range(d)), 2 * d)
+        row = _vote_losses(votes, offsets, 2)
+        assert (row.rhs(0), max(row.lanes(0)), row.certificate(1).fa_radius) == (2 * d - 1, 2 * d, 0)
+        assert _certified_accuracy([row], [0], 1) == (0, (0,))
+        if d == 64:  # the reference's margin table takes kd * d steps
+            assert certified_accuracy([margin_table(votes, offsets, 2)], (1,), 1) == (0, (0,))
